@@ -44,20 +44,26 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
   std::vector<float> mean(channels_, 0.0f);
   std::vector<float> var(channels_, 0.0f);
 
+  // Flat offsets: channel c of batch element b is the contiguous plane
+  // px + (b * channels_ + c) * hw.
+  const std::size_t hw = h * w;
+  const float* px = x.data().data();
   if (ctx.training) {
     for (std::size_t c = 0; c < channels_; ++c) {
       double sum = 0.0;
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) sum += x.at(b, c, y, xx);
+      for (std::size_t b = 0; b < n; ++b) {
+        const float* xp = px + (b * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) sum += xp[i];
+      }
       const double m = sum / static_cast<double>(per_channel);
       double v = 0.0;
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            const double d = x.at(b, c, y, xx) - m;
-            v += d * d;
-          }
+      for (std::size_t b = 0; b < n; ++b) {
+        const float* xp = px + (b * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const double d = xp[i] - m;
+          v += d * d;
+        }
+      }
       v /= static_cast<double>(per_channel);
       mean[c] = static_cast<float>(m);
       var[c] = static_cast<float>(v);
@@ -80,15 +86,20 @@ tensor batchnorm2d::forward(const tensor& x, forward_ctx& ctx) {
     input_ = x;
     xhat_ = tensor(x.dims());
   }
+  float* po = out.data().data();
+  float* pxh = ctx.grad ? xhat_.data().data() : nullptr;
   for (std::size_t c = 0; c < channels_; ++c) {
     const float inv_std = 1.0f / std::sqrt(var[c] + eps_);
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t y = 0; y < h; ++y)
-        for (std::size_t xx = 0; xx < w; ++xx) {
-          const float xh = (x.at(b, c, y, xx) - mean[c]) * inv_std;
-          if (ctx.grad) xhat_.at(b, c, y, xx) = xh;
-          out.at(b, c, y, xx) = gamma_.value[c] * xh + beta_.value[c];
-        }
+    const float gamma = gamma_.value[c];
+    const float beta = beta_.value[c];
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t off = (b * channels_ + c) * hw;
+      for (std::size_t i = 0; i < hw; ++i) {
+        const float xh = (px[off + i] - mean[c]) * inv_std;
+        if (pxh != nullptr) pxh[off + i] = xh;
+        po[off + i] = gamma * xh + beta;
+      }
+    }
   }
 
   if (ctx.trace != nullptr) {
@@ -107,43 +118,51 @@ tensor batchnorm2d::backward(const tensor& grad_out) {
   ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
   const std::size_t n = input_.dims()[0], h = input_.dims()[2],
                     w = input_.dims()[3];
+  ADVH_CHECK(grad_out.dims() == input_.dims());
   const auto m = static_cast<double>(n * h * w);
   tensor grad_in(input_.dims());
 
+  const std::size_t hw = h * w;
+  const float* pg = grad_out.data().data();
+  const float* pxh = xhat_.data().data();
+  float* pgi = grad_in.data().data();
   for (std::size_t c = 0; c < channels_; ++c) {
     const double inv_std = 1.0 / std::sqrt(batch_var_[c] + eps_);
     double sum_g = 0.0;
     double sum_g_xhat = 0.0;
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t y = 0; y < h; ++y)
-        for (std::size_t xx = 0; xx < w; ++xx) {
-          const double g = grad_out.at(b, c, y, xx);
-          sum_g += g;
-          sum_g_xhat += g * xhat_.at(b, c, y, xx);
-        }
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t off = (b * channels_ + c) * hw;
+      for (std::size_t i = 0; i < hw; ++i) {
+        const double g = pg[off + i];
+        sum_g += g;
+        sum_g_xhat += g * pxh[off + i];
+      }
+    }
     gamma_.grad[c] += static_cast<float>(sum_g_xhat);
     beta_.grad[c] += static_cast<float>(sum_g);
 
     if (cached_training_) {
       // Full batch-norm gradient (training statistics).
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            const double g = grad_out.at(b, c, y, xx);
-            const double xh = xhat_.at(b, c, y, xx);
-            const double gi = gamma_.value[c] * inv_std *
-                              (g - sum_g / m - xh * sum_g_xhat / m);
-            grad_in.at(b, c, y, xx) = static_cast<float>(gi);
-          }
+      for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t off = (b * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const double g = pg[off + i];
+          const double xh = pxh[off + i];
+          const double gi = gamma_.value[c] * inv_std *
+                            (g - sum_g / m - xh * sum_g_xhat / m);
+          pgi[off + i] = static_cast<float>(gi);
+        }
+      }
     } else {
       // Inference mode (used by attacks against a frozen model): running
       // stats are constants, so the gradient is a plain affine pass-through.
-      for (std::size_t b = 0; b < n; ++b)
-        for (std::size_t y = 0; y < h; ++y)
-          for (std::size_t xx = 0; xx < w; ++xx) {
-            grad_in.at(b, c, y, xx) = static_cast<float>(
-                grad_out.at(b, c, y, xx) * gamma_.value[c] * inv_std);
-          }
+      for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t off = (b * channels_ + c) * hw;
+        for (std::size_t i = 0; i < hw; ++i) {
+          pgi[off + i] =
+              static_cast<float>(pg[off + i] * gamma_.value[c] * inv_std);
+        }
+      }
     }
   }
   return grad_in;

@@ -62,25 +62,43 @@ tensor conv2d::forward(const tensor& x, forward_ctx& ctx) {
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
 
+  const std::size_t rows = cfg_.in_channels * cfg_.kernel * cfg_.kernel;
+  const std::size_t plane = oh * ow;
+  // A 1x1, stride-1, unpadded kernel's column matrix is the input plane.
+  const bool pointwise =
+      cfg_.kernel == 1 && cfg_.stride == 1 && cfg_.pad == 0;
+  // Inference unfolds into per-thread scratch, reused across calls: the
+  // model is shared read-only by measurement workers, so the buffer cannot
+  // be a layer member. Training keeps each column matrix for backward.
+  thread_local std::vector<float> scratch;
   if (ctx.grad) {
     input_ = x;
     cols_.clear();
     cols_.reserve(batch);
+  } else if (!pointwise && scratch.size() < rows * plane) {
+    scratch.resize(rows * plane);
   }
 
   tensor out(shape{batch, cfg_.out_channels, oh, ow});
   for (std::size_t b = 0; b < batch; ++b) {
-    tensor col = ops::im2col(x, b, g);
-    // (out_c, rows) x (rows, oh*ow) -> (out_c, oh*ow)
-    tensor y = ops::matmul(weight_.value, col);
-    if (ctx.grad) cols_.push_back(std::move(col));
-    float* po = out.data().data() + b * cfg_.out_channels * oh * ow;
-    const float* py = y.data().data();
-    for (std::size_t i = 0; i < cfg_.out_channels * oh * ow; ++i) po[i] = py[i];
+    const float* cols = nullptr;
+    if (ctx.grad) {
+      cols_.push_back(ops::im2col(x, b, g));
+      cols = cols_.back().data().data();
+    } else if (pointwise) {
+      cols = x.data().data() + b * rows * plane;
+    } else {
+      ops::im2col_into(x, b, g, scratch.data());
+      cols = scratch.data();
+    }
+    // (out_c, rows) x (rows, oh*ow) -> (out_c, oh*ow), straight into out.
+    float* po = out.data().data() + b * cfg_.out_channels * plane;
+    ops::gemm(weight_.value.data().data(), cols, po, cfg_.out_channels,
+              plane, rows);
     if (bias_) {
       for (std::size_t c = 0; c < cfg_.out_channels; ++c) {
         const float bv = bias_->value[c];
-        for (std::size_t i = 0; i < oh * ow; ++i) po[c * oh * ow + i] += bv;
+        for (std::size_t i = 0; i < plane; ++i) po[c * plane + i] += bv;
       }
     }
   }

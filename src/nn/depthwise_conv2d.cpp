@@ -60,6 +60,8 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
       const float* w = weight_.value.data().data() +
                        c * cfg_.kernel * cfg_.kernel;
       const float bv = bias_ ? bias_->value[c] : 0.0f;
+      const float* in = x.data().data() + (b * cfg_.channels + c) * ih * iw;
+      float* po = out.data().data() + (b * cfg_.channels + c) * oh * ow;
       for (std::size_t y = 0; y < oh; ++y) {
         for (std::size_t xw = 0; xw < ow; ++xw) {
           double acc = bv;
@@ -68,18 +70,17 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
                 static_cast<std::ptrdiff_t>(y * cfg_.stride + kh) -
                 static_cast<std::ptrdiff_t>(cfg_.pad);
             if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(ih)) continue;
+            const float* in_row = in + static_cast<std::size_t>(iy) * iw;
             for (std::size_t kw = 0; kw < cfg_.kernel; ++kw) {
               const std::ptrdiff_t ix =
                   static_cast<std::ptrdiff_t>(xw * cfg_.stride + kw) -
                   static_cast<std::ptrdiff_t>(cfg_.pad);
               if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-              acc += static_cast<double>(
-                         x.at(b, c, static_cast<std::size_t>(iy),
-                              static_cast<std::size_t>(ix))) *
+              acc += static_cast<double>(in_row[ix]) *
                      w[kh * cfg_.kernel + kw];
             }
           }
-          out.at(b, c, y, xw) = static_cast<float>(acc);
+          po[y * ow + xw] = static_cast<float>(acc);
         }
       }
     }
@@ -107,6 +108,7 @@ tensor depthwise_conv2d::forward(const tensor& x, forward_ctx& ctx) {
 
 tensor depthwise_conv2d::backward(const tensor& grad_out) {
   ADVH_CHECK_MSG(!input_.empty(), "backward before forward");
+  ADVH_CHECK(grad_out.dims() == infer_output_shape(input_.dims()));
   const std::size_t batch = input_.dims()[0];
   const std::size_t ih = input_.dims()[2];
   const std::size_t iw = input_.dims()[3];
@@ -119,9 +121,14 @@ tensor depthwise_conv2d::backward(const tensor& grad_out) {
       const float* w =
           weight_.value.data().data() + c * cfg_.kernel * cfg_.kernel;
       float* dw = weight_.grad.data().data() + c * cfg_.kernel * cfg_.kernel;
+      const std::size_t in_off = (b * cfg_.channels + c) * ih * iw;
+      const float* in = input_.data().data() + in_off;
+      float* gin = grad_in.data().data() + in_off;
+      const float* pg =
+          grad_out.data().data() + (b * cfg_.channels + c) * oh * ow;
       for (std::size_t y = 0; y < oh; ++y) {
         for (std::size_t xw = 0; xw < ow; ++xw) {
-          const float g = grad_out.at(b, c, y, xw);
+          const float g = pg[y * ow + xw];
           if (bias_) bias_->grad[c] += g;
           for (std::size_t kh = 0; kh < cfg_.kernel; ++kh) {
             const std::ptrdiff_t iy =
@@ -133,10 +140,10 @@ tensor depthwise_conv2d::backward(const tensor& grad_out) {
                   static_cast<std::ptrdiff_t>(xw * cfg_.stride + kw) -
                   static_cast<std::ptrdiff_t>(cfg_.pad);
               if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(iw)) continue;
-              const auto uy = static_cast<std::size_t>(iy);
-              const auto ux = static_cast<std::size_t>(ix);
-              dw[kh * cfg_.kernel + kw] += g * input_.at(b, c, uy, ux);
-              grad_in.at(b, c, uy, ux) += g * w[kh * cfg_.kernel + kw];
+              const std::size_t i = static_cast<std::size_t>(iy) * iw +
+                                    static_cast<std::size_t>(ix);
+              dw[kh * cfg_.kernel + kw] += g * in[i];
+              gin[i] += g * w[kh * cfg_.kernel + kw];
             }
           }
         }

@@ -1,5 +1,6 @@
 #include "nn/pooling.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
@@ -108,18 +109,18 @@ tensor avgpool2d::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.grad) in_shape_ = x.dims();
   tensor out(shape{n, c, oh, ow});
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t xx = 0; xx < ow; ++xx) {
-          double acc = 0.0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              acc += x.at(b, ch, y * stride_ + ky, xx * stride_ + kx);
-            }
-          }
-          out.at(b, ch, y, xx) = static_cast<float>(acc) * inv;
+  const float* px = x.data().data();
+  float* po = out.data().data();
+  for (std::size_t plane = 0; plane < n * c; ++plane) {
+    const float* in = px + plane * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t xx = 0; xx < ow; ++xx) {
+        double acc = 0.0;
+        for (std::size_t ky = 0; ky < window_; ++ky) {
+          const float* row = in + (y * stride_ + ky) * w + xx * stride_;
+          for (std::size_t kx = 0; kx < window_; ++kx) acc += row[kx];
         }
+        *po++ = static_cast<float>(acc) * inv;
       }
     }
   }
@@ -129,20 +130,22 @@ tensor avgpool2d::forward(const tensor& x, forward_ctx& ctx) {
 
 tensor avgpool2d::backward(const tensor& grad_out) {
   ADVH_CHECK_MSG(in_shape_.rank() == 4, "backward before forward");
+  ADVH_CHECK(grad_out.dims() == infer_output_shape(in_shape_));
   const std::size_t oh = grad_out.dims()[2];
   const std::size_t ow = grad_out.dims()[3];
   tensor grad_in(in_shape_);
   const float inv = 1.0f / static_cast<float>(window_ * window_);
-  for (std::size_t b = 0; b < in_shape_[0]; ++b) {
-    for (std::size_t ch = 0; ch < in_shape_[1]; ++ch) {
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t xx = 0; xx < ow; ++xx) {
-          const float g = grad_out.at(b, ch, y, xx) * inv;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              grad_in.at(b, ch, y * stride_ + ky, xx * stride_ + kx) += g;
-            }
-          }
+  const std::size_t h = in_shape_[2], w = in_shape_[3];
+  const float* pg = grad_out.data().data();
+  float* pgi = grad_in.data().data();
+  for (std::size_t plane = 0; plane < in_shape_[0] * in_shape_[1]; ++plane) {
+    float* gin = pgi + plane * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t xx = 0; xx < ow; ++xx) {
+        const float g = *pg++ * inv;
+        for (std::size_t ky = 0; ky < window_; ++ky) {
+          float* row = gin + (y * stride_ + ky) * w + xx * stride_;
+          for (std::size_t kx = 0; kx < window_; ++kx) row[kx] += g;
         }
       }
     }
@@ -165,14 +168,12 @@ tensor global_avgpool::forward(const tensor& x, forward_ctx& ctx) {
   if (ctx.grad) in_shape_ = x.dims();
   tensor out(shape{n, c});
   const float inv = 1.0f / static_cast<float>(h * w);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      double acc = 0.0;
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t xx = 0; xx < w; ++xx) acc += x.at(b, ch, y, xx);
-      }
-      out.at(b, ch) = static_cast<float>(acc) * inv;
-    }
+  const float* px = x.data().data();
+  for (std::size_t plane = 0; plane < n * c; ++plane) {
+    const float* in = px + plane * h * w;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < h * w; ++i) acc += in[i];
+    out.data()[plane] = static_cast<float>(acc) * inv;
   }
   record_pool_trace(ctx, layer_kind::global_avgpool, name_, x, out);
   return out;
@@ -183,13 +184,11 @@ tensor global_avgpool::backward(const tensor& grad_out) {
   tensor grad_in(in_shape_);
   const std::size_t h = in_shape_[2], w = in_shape_[3];
   const float inv = 1.0f / static_cast<float>(h * w);
-  for (std::size_t b = 0; b < in_shape_[0]; ++b) {
-    for (std::size_t ch = 0; ch < in_shape_[1]; ++ch) {
-      const float g = grad_out.at(b, ch) * inv;
-      for (std::size_t y = 0; y < h; ++y) {
-        for (std::size_t xx = 0; xx < w; ++xx) grad_in.at(b, ch, y, xx) = g;
-      }
-    }
+  ADVH_CHECK(grad_out.dims() == infer_output_shape(in_shape_));
+  float* pgi = grad_in.data().data();
+  for (std::size_t plane = 0; plane < in_shape_[0] * in_shape_[1]; ++plane) {
+    const float g = grad_out.data()[plane] * inv;
+    std::fill(pgi + plane * h * w, pgi + (plane + 1) * h * w, g);
   }
   return grad_in;
 }

@@ -1,5 +1,7 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace advh::ops {
@@ -20,13 +22,17 @@ void check_geometry(const tensor& input, std::size_t batch_index,
 
 tensor im2col(const tensor& input, std::size_t batch_index,
               const conv_geometry& g) {
+  tensor cols(shape{g.in_channels * g.kernel_h * g.kernel_w,
+                    g.out_h() * g.out_w()});
+  im2col_into(input, batch_index, g, cols.data().data());
+  return cols;
+}
+
+void im2col_into(const tensor& input, std::size_t batch_index,
+                 const conv_geometry& g, float* cols) {
   check_geometry(input, batch_index, g);
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  const std::size_t rows = g.in_channels * g.kernel_h * g.kernel_w;
-
-  tensor cols(shape{rows, oh * ow});
-  float* pc = cols.data().data();
   const float* pi = input.data().data() +
                     batch_index * g.in_channels * g.in_h * g.in_w;
 
@@ -34,29 +40,35 @@ tensor im2col(const tensor& input, std::size_t batch_index,
     for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < g.kernel_w; ++kw) {
         const std::size_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
-        float* out_row = pc + row * oh * ow;
+        float* out_row = cols + row * oh * ow;
+        // Output columns [x_lo, x_hi) read input column x*stride + kw - pad
+        // inside [0, in_w); the others read padding.
+        const std::size_t end = g.in_w + g.pad;
+        const std::size_t x_hi =
+            kw >= end ? 0 : std::min(ow, (end - kw + g.stride - 1) / g.stride);
+        const std::size_t x_lo = std::min(
+            x_hi, kw >= g.pad ? 0 : (g.pad - kw + g.stride - 1) / g.stride);
         for (std::size_t y = 0; y < oh; ++y) {
+          float* out = out_row + y * ow;
           // signed because padding can take us off the top/left edge
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(y * g.stride + kh) -
               static_cast<std::ptrdiff_t>(g.pad);
-          for (std::size_t x = 0; x < ow; ++x) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(x * g.stride + kw) -
-                static_cast<std::ptrdiff_t>(g.pad);
-            float v = 0.0f;
-            if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h) &&
-                ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.in_w)) {
-              v = pi[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
-                     static_cast<std::size_t>(ix)];
-            }
-            out_row[y * ow + x] = v;
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
+            std::fill(out, out + ow, 0.0f);
+            continue;
           }
+          const float* in_row =
+              pi + (c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w;
+          std::fill(out, out + x_lo, 0.0f);
+          for (std::size_t x = x_lo; x < x_hi; ++x) {
+            out[x] = in_row[x * g.stride + kw - g.pad];
+          }
+          std::fill(out + x_hi, out + ow, 0.0f);
         }
       }
     }
   }
-  return cols;
 }
 
 void col2im_accumulate(const tensor& cols, std::size_t batch_index,

@@ -34,6 +34,11 @@ struct conv_geometry {
 tensor im2col(const tensor& input, std::size_t batch_index,
               const conv_geometry& g);
 
+/// im2col into caller-owned storage of at least
+/// in_channels*kernel_h*kernel_w * out_h*out_w floats.
+void im2col_into(const tensor& input, std::size_t batch_index,
+                 const conv_geometry& g, float* cols);
+
 /// Scatters a column-matrix gradient back into an image-shaped gradient,
 /// accumulating into `grad_input` at the given batch index.
 void col2im_accumulate(const tensor& cols, std::size_t batch_index,

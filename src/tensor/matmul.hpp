@@ -11,6 +11,13 @@ namespace advh::ops {
 /// C = A(m,k) * B(k,n); both rank-2.
 tensor matmul(const tensor& a, const tensor& b);
 
+/// Raw form of matmul: C(m,n) = A(m,k) * B(k,n) on row-major buffers,
+/// `c` zero-filled by the caller. Register-tiled; each c[i][j] still sums
+/// a[i][kk] * b[kk][j] in increasing kk and skips zero a[i][kk], so the
+/// result is bit-identical to a plain ikj loop.
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t n, std::size_t k);
+
 /// C = A^T(m,k) * B(m,n) -> (k,n).
 tensor matmul_at_b(const tensor& a, const tensor& b);
 

@@ -40,9 +40,8 @@ float tensor::operator[](std::size_t i) const {
 
 float& tensor::at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
   ADVH_CHECK(shape_.rank() == 4);
-  const auto st = shape_.strides();
   ADVH_CHECK(n < shape_[0] && c < shape_[1] && h < shape_[2] && w < shape_[3]);
-  return data_[n * st[0] + c * st[1] + h * st[2] + w * st[3]];
+  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
 }
 
 float tensor::at(std::size_t n, std::size_t c, std::size_t h,
