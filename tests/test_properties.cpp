@@ -240,14 +240,21 @@ TEST_P(AttackProperty, OutputsAreValidBudgetedImages) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Budgets, AttackProperty,
-    ::testing::Values(attack_case{attack::attack_kind::fgsm, 0.01f, false},
-                      attack_case{attack::attack_kind::fgsm, 0.1f, false},
-                      attack_case{attack::attack_kind::fgsm, 0.3f, true},
-                      attack_case{attack::attack_kind::pgd, 0.01f, false},
-                      attack_case{attack::attack_kind::pgd, 0.1f, true},
-                      attack_case{attack::attack_kind::deepfool, 0.0f, false}));
+// The test names print the raw bytes of each case, padding included.  A
+// stack-built temporary leaves the three bytes after `targeted` holding
+// whatever was there before (often part of an address, so names changed from
+// run to run); a constant-initialised table zero-fills them.
+constexpr attack_case budget_cases[] = {
+    {attack::attack_kind::fgsm, 0.01f, false},
+    {attack::attack_kind::fgsm, 0.1f, false},
+    {attack::attack_kind::fgsm, 0.3f, true},
+    {attack::attack_kind::pgd, 0.01f, false},
+    {attack::attack_kind::pgd, 0.1f, true},
+    {attack::attack_kind::deepfool, 0.0f, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Budgets, AttackProperty,
+                         ::testing::ValuesIn(budget_cases));
 
 // ---------------------------------------------------------------------------
 // Trace replay consistency across layer geometries.
