@@ -67,6 +67,23 @@ void BM_TracedInferencePlusSim(benchmark::State& state) {
 }
 BENCHMARK(BM_TracedInferencePlusSim);
 
+// The uarch replay alone: one traced forward outside the timed loop, so
+// ns/input here is the cache/branch replay cost without the forward pass.
+void BM_Replay(benchmark::State& state) {
+  auto m = nn::make_model(nn::architecture::resnet_small, shape{3, 32, 32},
+                          10, 1);
+  uarch::trace_generator gen_sim;
+  rng gen(4);
+  tensor x = tensor::rand_uniform(shape{1, 3, 32, 32}, gen, 0.0f, 1.0f);
+  std::size_t pred = 0;
+  const auto trace = m->trace_inference(x, pred);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen_sim.run(trace));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Replay);
+
 void BM_GmmFitBic(benchmark::State& state) {
   rng gen(5);
   std::vector<double> data;

@@ -1,5 +1,6 @@
 #include "uarch/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
@@ -9,109 +10,62 @@ namespace advh::uarch {
 cache::cache(const cache_config& cfg) : cfg_(cfg) {
   ADVH_CHECK_MSG(std::has_single_bit(cfg_.line_bytes),
                  "line size must be a power of two");
+  ADVH_CHECK_MSG(cfg_.line_bytes >= 2, "line size must be at least 2 bytes");
   ADVH_CHECK(cfg_.associativity > 0);
   ADVH_CHECK(cfg_.size_bytes % (cfg_.line_bytes * cfg_.associativity) == 0);
   sets_ = cfg_.size_bytes / (cfg_.line_bytes * cfg_.associativity);
   ADVH_CHECK_MSG(std::has_single_bit(sets_),
                  "set count must be a power of two");
+  ways_ = cfg_.associativity;
   line_shift_ = static_cast<std::size_t>(std::countr_zero(cfg_.line_bytes));
-  lines_.assign(sets_ * cfg_.associativity, line{});
+  tags_.assign(sets_ * ways_, kEmpty);
+  lru_.assign(sets_ * ways_, 0);
+  dirty_.assign(sets_ * ways_, 0);
 }
 
-std::size_t cache::set_index(std::uint64_t addr) const noexcept {
-  return static_cast<std::size_t>((addr >> line_shift_) & (sets_ - 1));
-}
-
-std::uint64_t cache::tag_of(std::uint64_t addr) const noexcept {
-  return addr >> line_shift_;  // keep the set bits in the tag; harmless
-}
-
-bool cache::access(std::uint64_t addr, access_type type) {
-  ++tick_;
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  line* base = lines_.data() + set * cfg_.associativity;
-
-  if (type == access_type::load) {
-    ++stats_.loads;
-  } else {
-    ++stats_.stores;
-  }
-
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].lru = tick_;
-      if (type == access_type::store) base[w].dirty = true;
-      return true;
-    }
-  }
-
-  // Miss: pick invalid way or LRU victim.
-  if (type == access_type::load) {
-    ++stats_.load_misses;
-  } else {
-    ++stats_.store_misses;
-  }
+void cache::install(std::size_t base, std::uint64_t tag, bool dirty) {
+  const std::uint64_t* lru = lru_.data() + base;
   std::size_t victim = 0;
-  bool found_invalid = false;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (!base[w].valid) {
-      victim = w;
-      found_invalid = true;
-      break;
-    }
-    if (base[w].lru < base[victim].lru) victim = w;
+  std::uint64_t oldest = lru[0];
+  for (std::size_t w = 1; w < ways_; ++w) {
+    const bool older = lru[w] < oldest;
+    victim = older ? w : victim;
+    oldest = older ? lru[w] : oldest;
   }
-  if (!found_invalid && base[victim].valid) {
+  const std::size_t v = base + victim;
+  if (tags_[v] != kEmpty) {
     ++stats_.evictions;
-    if (base[victim].dirty) ++stats_.writebacks;
+    if (dirty_[v]) ++stats_.writebacks;
   }
-  base[victim] = line{tag, tick_, true, type == access_type::store};
-  return false;
+  tags_[v] = tag;
+  lru_[v] = tick_;
+  dirty_[v] = dirty;
 }
 
 void cache::fill(std::uint64_t addr) {
   ++tick_;
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  line* base = lines_.data() + set * cfg_.associativity;
+  const std::uint64_t tag = addr >> line_shift_;
+  const std::size_t base = set_base(tag);
   ++stats_.prefetch_fills;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      // Already resident: refresh recency only.
-      base[w].lru = tick_;
-      return;
-    }
+  const std::size_t w = find(base, tag);
+  if (w != ways_) {
+    // Already resident: refresh recency only.
+    lru_[base + w] = tick_;
+    return;
   }
-  std::size_t victim = 0;
-  bool found_invalid = false;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (!base[w].valid) {
-      victim = w;
-      found_invalid = true;
-      break;
-    }
-    if (base[w].lru < base[victim].lru) victim = w;
-  }
-  if (!found_invalid && base[victim].valid) {
-    ++stats_.evictions;
-    if (base[victim].dirty) ++stats_.writebacks;
-  }
-  base[victim] = line{tag, tick_, true, false};
+  install(base, tag, false);
 }
 
 bool cache::probe(std::uint64_t addr) const {
-  const std::size_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  const line* base = lines_.data() + set * cfg_.associativity;
-  for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t tag = addr >> line_shift_;
+  const std::size_t base = set_base(tag);
+  return find(base, tag) != ways_;
 }
 
 void cache::reset() noexcept {
-  for (auto& l : lines_) l = line{};
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(lru_.begin(), lru_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   tick_ = 0;
   stats_ = cache_stats{};
 }

@@ -28,10 +28,23 @@ class memory_hierarchy {
   explicit memory_hierarchy(const hierarchy_config& cfg = {});
 
   /// Data load/store through L1-D, falling through to the LLC on miss.
-  void data_access(std::uint64_t addr, access_type type);
+  void data_access(std::uint64_t addr, access_type type) {
+    if (!l1d_.access(addr, type)) {
+      // Write-allocate: a store miss fetches the line before writing, so
+      // the LLC sees it on the store path.
+      llc_.access(addr, type);
+    }
+    if (prefetch_.kind() != prefetcher_kind::none) prefetch_after(addr);
+  }
 
   /// Instruction fetch through L1-I, falling through to the LLC on miss.
   void fetch(std::uint64_t addr);
+
+  /// `sweeps` back-to-back passes of fetch() over the `lines` addresses
+  /// base, base + stride, ..., with identical effect on every statistic,
+  /// LRU stamp and later replacement decision.
+  void fetch_sweeps(std::uint64_t base, std::uint64_t stride,
+                    std::size_t lines, std::size_t sweeps);
 
   void reset() noexcept;
 
@@ -52,6 +65,10 @@ class memory_hierarchy {
   }
 
  private:
+  /// Trains the L1-D prefetcher on a demand access to addr and issues its
+  /// fill.
+  void prefetch_after(std::uint64_t addr);
+
   cache l1d_;
   cache l1i_;
   cache llc_;

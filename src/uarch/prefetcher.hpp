@@ -20,7 +20,10 @@ enum class prefetcher_kind {
 
 struct prefetch_stats {
   std::uint64_t issued = 0;
-  std::uint64_t useful_hint = 0;  ///< prefetches of lines later demanded
+  /// Prefetches that filled a line absent from L1-D (a target already
+  /// resident is dropped). Whether the line is later demanded is not
+  /// tracked.
+  std::uint64_t useful_hint = 0;
 };
 
 /// Decides which line (if any) to prefetch after a demand access.

@@ -74,6 +74,8 @@ class trace_generator {
   uarch_counts run(const nn::inference_trace& trace);
 
   const trace_gen_config& config() const noexcept { return cfg_; }
+  /// Cache and prefetcher state left by the last run.
+  const memory_hierarchy& memory() const noexcept { return mem_; }
 
  private:
   void replay_parametric(const nn::layer_trace_entry& e, std::size_t layer_idx);
@@ -82,7 +84,8 @@ class trace_generator {
 
   /// Sequential line sweep over a buffer region.
   void sweep(std::uint64_t base, std::size_t bytes, access_type type);
-  void code_sweep(std::size_t layer_idx);
+  /// `sweeps` back-to-back fetch passes over the layer's code lines.
+  void code_sweep(std::size_t layer_idx, std::size_t sweeps);
   /// Loop back-edge branch stream (taken except on exit) through gshare.
   void loop_branches(std::size_t layer_idx, std::size_t iterations);
 
@@ -98,6 +101,9 @@ class trace_generator {
   bool write_to_second_ = true;
   std::vector<std::uint64_t> weight_bases_;  // running layout per layer
   std::uint64_t next_weight_base_;
+  // Per-spatial-position gather/accumulate offsets of the current
+  // parametric layer (scratch reused across layers and runs).
+  std::vector<std::uint64_t> offsets_;
 };
 
 }  // namespace advh::uarch
