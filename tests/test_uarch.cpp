@@ -92,6 +92,7 @@ TEST(Cache, ConfigValidation) {
   EXPECT_THROW(cache({"bad", 100, 64, 2}), invariant_error);   // not divisible
   EXPECT_THROW(cache({"bad", 512, 60, 2}), invariant_error);   // line not pow2
   EXPECT_THROW(cache({"bad", 512, 64, 0}), invariant_error);   // zero ways
+  EXPECT_THROW(cache({"bad", 512, 1, 2}), invariant_error);    // 1-byte line
 }
 
 TEST(Cache, FullyAssociativeWorks) {
