@@ -7,6 +7,7 @@
 // setting. Reported: false-positive rate on clean inputs, recall on AEs,
 // and F1.
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.hpp"
 
@@ -33,30 +34,31 @@ int main() {
       core::collect_template(*monitor, base, rt.train, bench::scaled(40), 77);
 
   // Pre-measure evaluation inputs once as well.
-  struct measured {
-    std::size_t predicted;
-    std::vector<double> counts;
-  };
-  auto measure_set = [&](const std::vector<tensor>& inputs) {
-    std::vector<measured> out;
-    for (const auto& x : inputs) {
-      auto m = monitor->measure(x, base.events, base.repeats);
-      out.push_back({m.predicted, std::move(m.mean_counts)});
-    }
-    return out;
-  };
-  const auto clean_meas = measure_set(clean);
-  const auto adv_meas = measure_set(adv.inputs);
+  const auto clean_meas =
+      monitor->measure_batch(clean, base.events, base.repeats);
+  const auto adv_meas =
+      monitor->measure_batch(adv.inputs, base.events, base.repeats);
 
   auto evaluate = [&](const core::detector& det) {
     core::detection_confusion c;
     for (const auto& m : clean_meas) {
-      c.push(false, det.score(m.predicted, m.counts).adversarial_any);
+      c.push(false, det.score(m.predicted, m.mean_counts).adversarial_any);
     }
     for (const auto& m : adv_meas) {
-      c.push(true, det.score(m.predicted, m.counts).adversarial_any);
+      c.push(true, det.score(m.predicted, m.mean_counts).adversarial_any);
     }
     return c;
+  };
+  auto add_row = [](text_table& table, const std::string& label,
+                    const core::detection_confusion& c) {
+    const double fpr =
+        c.false_positives() + c.true_negatives() > 0
+            ? static_cast<double>(c.false_positives()) /
+                  static_cast<double>(c.false_positives() + c.true_negatives())
+            : 0.0;
+    table.add_row({label, text_table::num(100.0 * fpr, 2),
+                   text_table::num(100.0 * c.recall(), 2),
+                   text_table::num(c.f1(), 4)});
   };
 
   text_table sigma_table(
@@ -65,16 +67,8 @@ int main() {
   for (double sigma : {1.0, 2.0, 3.0, 4.0, 5.0}) {
     auto cfg = base;
     cfg.sigma_multiplier = sigma;
-    const auto c = evaluate(core::detector::fit(tpl, cfg));
-    const double fpr =
-        c.false_positives() + c.true_negatives() > 0
-            ? static_cast<double>(c.false_positives()) /
-                  static_cast<double>(c.false_positives() + c.true_negatives())
-            : 0.0;
-    sigma_table.add_row({text_table::num(sigma, 1),
-                         text_table::num(100.0 * fpr, 2),
-                         text_table::num(100.0 * c.recall(), 2),
-                         text_table::num(c.f1(), 4)});
+    add_row(sigma_table, text_table::num(sigma, 1),
+            evaluate(core::detector::fit(tpl, cfg)));
   }
   bench::emit(sigma_table, "ablation_sigma");
 
@@ -84,15 +78,8 @@ int main() {
   for (std::size_t k : {1u, 2u, 4u, 6u}) {
     auto cfg = base;
     cfg.k_max = k;
-    const auto c = evaluate(core::detector::fit(tpl, cfg));
-    const double fpr =
-        c.false_positives() + c.true_negatives() > 0
-            ? static_cast<double>(c.false_positives()) /
-                  static_cast<double>(c.false_positives() + c.true_negatives())
-            : 0.0;
-    k_table.add_row({std::to_string(k), text_table::num(100.0 * fpr, 2),
-                     text_table::num(100.0 * c.recall(), 2),
-                     text_table::num(c.f1(), 4)});
+    add_row(k_table, std::to_string(k),
+            evaluate(core::detector::fit(tpl, cfg)));
   }
   bench::emit(k_table, "ablation_kmax");
 
@@ -105,21 +92,10 @@ int main() {
     const auto tpl_r = core::collect_template(*monitor, cfg, rt.train,
                                               bench::scaled(40), 78);
     const auto det = core::detector::fit(tpl_r, cfg);
-    core::detection_confusion c;
-    for (const auto& x : clean) {
-      c.push(false, det.classify(*monitor, x).adversarial_any);
-    }
-    for (const auto& x : adv.inputs) {
-      c.push(true, det.classify(*monitor, x).adversarial_any);
-    }
-    const double fpr =
-        c.false_positives() + c.true_negatives() > 0
-            ? static_cast<double>(c.false_positives()) /
-                  static_cast<double>(c.false_positives() + c.true_negatives())
-            : 0.0;
-    r_table.add_row({std::to_string(repeats), text_table::num(100.0 * fpr, 2),
-                     text_table::num(100.0 * c.recall(), 2),
-                     text_table::num(c.f1(), 4)});
+    core::detection_eval eval;
+    core::evaluate_inputs(det, *monitor, clean, false, eval);
+    core::evaluate_inputs(det, *monitor, adv.inputs, true, eval);
+    add_row(r_table, std::to_string(repeats), eval.fused);
   }
   bench::emit(r_table, "ablation_repeats");
   return 0;

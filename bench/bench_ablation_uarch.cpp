@@ -81,13 +81,11 @@ int main() {
 
     core::detection_confusion conf;
     std::vector<double> clean_scores, adv_scores;
-    for (const auto& x : clean) {
-      const auto v = det.classify(*monitor, x);
+    for (const auto& v : det.classify_batch(*monitor, clean)) {
       conf.push(false, v.adversarial_any);
       clean_scores.push_back(v.nll[0]);
     }
-    for (const auto& x : adv.inputs) {
-      const auto v = det.classify(*monitor, x);
+    for (const auto& v : det.classify_batch(*monitor, adv.inputs)) {
       conf.push(true, v.adversarial_any);
       adv_scores.push_back(v.nll[0]);
     }

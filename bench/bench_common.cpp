@@ -1,12 +1,11 @@
 #include "bench/bench_common.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "nn/trainer.hpp"
@@ -14,22 +13,8 @@
 namespace advh::bench {
 
 double scale() {
-  if (const char* env = std::getenv("ADVH_BENCH_SCALE")) {
-    // Strict parse, matching every other ADVH_* knob (PR 4 convention):
-    // the old atof() silently read "0.5x" as 0.5 and "fast" as "unset" —
-    // a typo in a CI matrix must fail the job, not quietly change (or
-    // keep) the workload size.
-    errno = 0;
-    char* end = nullptr;
-    const double s = std::strtod(env, &end);
-    if (end == env || *end != '\0' || errno == ERANGE || !(s > 0.0) ||
-        s > 1e6) {
-      throw std::invalid_argument(std::string("ADVH_BENCH_SCALE=\"") + env +
-                                  "\": expected a number in (0, 1e6]");
-    }
-    return s;
-  }
-  return 1.0;
+  return env::number("ADVH_BENCH_SCALE", 0.0, 1e6, env::lower_end::open)
+      .value_or(1.0);
 }
 
 std::size_t scaled(std::size_t base) {

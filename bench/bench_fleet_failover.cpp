@@ -59,9 +59,7 @@
 //                     3/2 and 1/1 for phase E's)
 //
 // Writes bench_results/BENCH_fleet_failover.{csv,json}.
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -72,6 +70,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "common/env.hpp"
 #include "core/detector.hpp"
 #include "fleet/checkpoint.hpp"
 #include "fleet/config.hpp"
@@ -87,23 +86,6 @@ using namespace advh::fleet;
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Strict chaos-knob parse (the ADVH_* contract): set-but-malformed must
-/// fail the job, not silently disable the chaos.
-double env_rate(const char* name, double fallback, double max) {
-  const char* env = std::getenv(name);
-  if (!env) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double r = std::strtod(env, &end);
-  if (end == env || *end != '\0' || errno == ERANGE || !(r >= 0.0) ||
-      r > max) {
-    throw std::invalid_argument(std::string(name) + "=\"" + env +
-                                "\": expected a number in [0, " +
-                                std::to_string(max) + "]");
-  }
-  return r;
-}
 
 /// Deterministic benign input at the given intensity scale.
 tensor bench_input(double scale) {
@@ -702,8 +684,10 @@ int main(int argc, char** argv) {
   const std::size_t threads = *threads_opt;
 
   const fleet_config cfg = fleet_config_from_env(bench_cfg());
-  const double fault_rate = env_rate("ADVH_FAULT_RATE", 0.02, 1.0);
-  const double drift_rate = env_rate("ADVH_DRIFT_RATE", 0.0, 99.0);
+  const double fault_rate =
+      env::number("ADVH_FAULT_RATE", 0.0, 1.0).value_or(0.02);
+  const double drift_rate =
+      env::number("ADVH_DRIFT_RATE", 0.0, 99.0).value_or(0.0);
 
   // Phase A: kill every replica in turn, mid-campaign.
   std::vector<failover_result> sweeps;

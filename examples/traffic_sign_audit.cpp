@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "attack/metrics.hpp"
 #include "common/cli.hpp"
@@ -64,31 +66,40 @@ int main(int argc, char** argv) {
   core::detection_confusion confusion;
   std::map<std::size_t, std::pair<std::size_t, std::size_t>> per_source;
 
-  std::size_t audited = 0;
-  for (std::size_t i = 0; i < rt.test.size() && audited < audit_count; ++i) {
+  std::vector<tensor> aes;
+  std::vector<std::size_t> sources;
+  for (std::size_t i = 0; i < rt.test.size() && aes.size() < audit_count;
+       ++i) {
     if (rt.test.labels[i] == rt.spec.target_class) continue;
     tensor x = nn::single_example(rt.test.images, i);
     if (rt.net->predict_one(x) != rt.test.labels[i]) continue;
     auto r = atk->run(*rt.net, x, rt.test.labels[i]);
     if (!r.success) continue;
-    ++audited;
-
-    const auto verdict = det.classify(*monitor, r.adversarial);
-    confusion.push(true, verdict.adversarial_any);
-    auto& [caught, seen] = per_source[rt.test.labels[i]];
+    aes.push_back(std::move(r.adversarial));
+    sources.push_back(rt.test.labels[i]);
+  }
+  const std::size_t audited = aes.size();
+  const auto ae_verdicts = det.classify_batch(*monitor, aes, threads);
+  for (std::size_t k = 0; k < audited; ++k) {
+    const bool caught = ae_verdicts[k].adversarial_any;
+    confusion.push(true, caught);
+    auto& [n_caught, seen] = per_source[sources[k]];
     ++seen;
-    if (verdict.adversarial_any) ++caught;
+    if (caught) ++n_caught;
   }
 
   // Also audit genuine 30km/h signs to check the false-alarm rate.
-  std::size_t clean_checked = 0;
-  for (std::size_t i = 0;
-       i < rt.test.size() && clean_checked < audit_count; ++i) {
+  std::vector<tensor> genuine;
+  for (std::size_t i = 0; i < rt.test.size() && genuine.size() < audit_count;
+       ++i) {
     if (rt.test.labels[i] != rt.spec.target_class) continue;
     tensor x = nn::single_example(rt.test.images, i);
     if (rt.net->predict_one(x) != rt.spec.target_class) continue;
-    ++clean_checked;
-    confusion.push(false, det.classify(*monitor, x).adversarial_any);
+    genuine.push_back(std::move(x));
+  }
+  const std::size_t clean_checked = genuine.size();
+  for (const auto& v : det.classify_batch(*monitor, genuine, threads)) {
+    confusion.push(false, v.adversarial_any);
   }
 
   std::cout << "\naudited " << audited << " successful targeted AEs and "

@@ -1,15 +1,14 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace advh::parallel {
@@ -18,7 +17,7 @@ namespace {
 // Sanity ceiling for the ADVH_THREADS override: far above any real
 // machine, low enough to catch unit-confused values (e.g. a millicore
 // count pasted from a container spec).
-constexpr long kMaxThreadsEnv = 4096;
+constexpr std::uint64_t kMaxThreadsEnv = 4096;
 }  // namespace
 
 std::size_t hardware_threads() noexcept {
@@ -27,21 +26,9 @@ std::size_t hardware_threads() noexcept {
 }
 
 std::size_t default_threads() {
-  const char* env = std::getenv("ADVH_THREADS");
-  if (env == nullptr) return hardware_threads();
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  // A set-but-broken override fails loudly: silently dropping to the
-  // hardware default would hide deployment-manifest typos.
-  if (end == env || *end != '\0' || errno == ERANGE || v < 0 ||
-      v > kMaxThreadsEnv) {
-    throw std::invalid_argument(
-        std::string("ADVH_THREADS=\"") + env +
-        "\": expected an integer in [0, " + std::to_string(kMaxThreadsEnv) +
-        "] (0 = all cores)");
-  }
-  return v == 0 ? hardware_threads() : static_cast<std::size_t>(v);
+  // ADVH_THREADS=0 means "all cores".
+  const auto v = env::integer("ADVH_THREADS", 0, kMaxThreadsEnv);
+  return v.value_or(0) == 0 ? hardware_threads() : static_cast<std::size_t>(*v);
 }
 
 std::size_t resolve_threads(std::size_t requested) {

@@ -44,29 +44,6 @@ std::vector<std::size_t> benign_template::underfilled_classes() const {
   return out;
 }
 
-template_builder::template_builder(hpc::hpc_monitor& monitor,
-                                   detector_config cfg,
-                                   std::size_t num_classes)
-    : monitor_(monitor),
-      cfg_(std::move(cfg)),
-      tpl_(num_classes, cfg_.events.size()) {
-  ADVH_CHECK_MSG(!cfg_.events.empty(), "detector needs at least one event");
-}
-
-bool template_builder::add_sample(const tensor& x, std::size_t label) {
-  ADVH_CHECK(label < tpl_.num_classes());
-  const auto m = monitor_.measure(x, cfg_.events, cfg_.repeats);
-  if (m.predicted != label) return false;
-  tpl_.add_row(label, m.mean_counts);
-  return true;
-}
-
-std::size_t template_builder::accepted(std::size_t cls) const {
-  return tpl_.rows(cls);
-}
-
-benign_template template_builder::build() const { return tpl_; }
-
 detector detector::fit(const benign_template& tpl, const detector_config& cfg,
                        std::size_t threads) {
   ADVH_CHECK_MSG(cfg.events.size() == tpl.num_events(),
@@ -189,38 +166,11 @@ verdict detector::score(std::size_t predicted_class,
   return v;
 }
 
-verdict detector::classify(hpc::hpc_monitor& monitor, const tensor& x) const {
-  const auto m = monitor.measure(x, cfg_.events, cfg_.repeats);
-  return score(m.predicted, m.mean_counts, m.q.available);
-}
-
-verdict detector::classify(hpc::hpc_monitor& monitor, const tensor& x,
-                           std::size_t repeats,
-                           const hpc::measure_budget& budget) const {
-  const std::size_t r = repeats == 0 ? cfg_.repeats : repeats;
-  const auto m = monitor.measure(x, cfg_.events, r, budget);
-  return score(m.predicted, m.mean_counts, m.q.available);
-}
-
 std::vector<verdict> detector::classify_batch(hpc::hpc_monitor& monitor,
                                               std::span<const tensor> inputs,
                                               std::size_t threads) const {
   const auto ms =
       monitor.measure_batch(inputs, cfg_.events, cfg_.repeats, threads);
-  std::vector<verdict> out;
-  out.reserve(ms.size());
-  for (const auto& m : ms) {
-    out.push_back(score(m.predicted, m.mean_counts, m.q.available));
-  }
-  return out;
-}
-
-std::vector<verdict> detector::classify_batch(
-    hpc::hpc_monitor& monitor, std::span<const tensor> inputs,
-    std::size_t threads, std::size_t repeats,
-    const hpc::measure_budget& budget) const {
-  const std::size_t r = repeats == 0 ? cfg_.repeats : repeats;
-  const auto ms = monitor.measure_batch(inputs, cfg_.events, r, threads, budget);
   std::vector<verdict> out;
   out.reserve(ms.size());
   for (const auto& m : ms) {

@@ -73,31 +73,6 @@ class benign_template {
   std::vector<std::vector<std::vector<double>>> data_;
 };
 
-/// Gathers the benign template by measuring clean validation inputs
-/// through a monitor. Inputs whose hard-label prediction disagrees with
-/// their validation label are discarded (a misclassified "clean" image is
-/// not representative of its category's computational behaviour).
-class template_builder {
- public:
-  template_builder(hpc::hpc_monitor& monitor, detector_config cfg,
-                   std::size_t num_classes);
-
-  /// Measures one clean validation image with known label; returns true if
-  /// the sample was accepted into the template.
-  bool add_sample(const tensor& x, std::size_t label);
-
-  /// Number of accepted samples for a class so far.
-  std::size_t accepted(std::size_t cls) const;
-
-  benign_template build() const;
-  const detector_config& config() const noexcept { return cfg_; }
-
- private:
-  hpc::hpc_monitor& monitor_;
-  detector_config cfg_;
-  benign_template tpl_;
-};
-
 /// Per-(class, event) anomaly model: fitted GMM + threshold.
 struct event_model {
   gmm::gmm1d model;
@@ -156,32 +131,14 @@ class detector {
                 std::span<const double> mean_counts,
                 std::span<const std::uint8_t> available = {}) const;
 
-  /// Measures an unknown input through `monitor` and scores it, honouring
-  /// the measurement's event-availability mask.
-  verdict classify(hpc::hpc_monitor& monitor, const tensor& x) const;
-
-  /// Deadline-budgeted variant: `repeats` (when nonzero) overrides the
-  /// configured R — the serve layer's degradation ladder sheds repeats
-  /// under load — and `budget` caps what the resilient measurement layer
-  /// may spend on retries/backoff. Reduced-evidence measurements flow
-  /// through the same availability-mask scoring, so shedding composes
-  /// with the degraded/abstain fail-closed policy.
-  verdict classify(hpc::hpc_monitor& monitor, const tensor& x,
-                   std::size_t repeats,
-                   const hpc::measure_budget& budget) const;
-
-  /// Measures and scores a batch through hpc_monitor::measure_batch;
-  /// out[i] corresponds to inputs[i] and is bitwise identical to serial
-  /// `classify` calls in the same order.
+  /// Measures a batch through hpc_monitor::measure_batch (the configured
+  /// events, R repeats) and scores each measurement, honouring its
+  /// event-availability mask; out[i] corresponds to inputs[i]. Bitwise
+  /// identical to a serial measure() + score() loop in the same order, at
+  /// any `threads` value.
   std::vector<verdict> classify_batch(hpc::hpc_monitor& monitor,
                                       std::span<const tensor> inputs,
                                       std::size_t threads = 0) const;
-
-  /// Deadline-budgeted batch variant (see the budgeted `classify`).
-  std::vector<verdict> classify_batch(hpc::hpc_monitor& monitor,
-                                      std::span<const tensor> inputs,
-                                      std::size_t threads, std::size_t repeats,
-                                      const hpc::measure_budget& budget) const;
 
   const detector_config& config() const noexcept { return cfg_; }
   std::size_t num_classes() const noexcept { return models_.size(); }

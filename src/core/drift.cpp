@@ -246,11 +246,6 @@ verdict drift_controller::score_victim(const hpc::measurement& m) {
   return v;
 }
 
-verdict drift_controller::classify(hpc::hpc_monitor& monitor, const tensor& x) {
-  return score_victim(
-      monitor.measure(x, det_.config().events, det_.config().repeats));
-}
-
 bool drift_controller::recalibration_due() const {
   for (std::size_t cls = 0; cls < det_.num_classes(); ++cls) {
     bool quarantined = false;

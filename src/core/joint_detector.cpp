@@ -58,12 +58,6 @@ joint_verdict joint_detector::score(std::size_t predicted_class,
   return v;
 }
 
-joint_verdict joint_detector::classify(hpc::hpc_monitor& monitor,
-                                       const tensor& x) const {
-  const auto m = monitor.measure(x, cfg_.events, cfg_.repeats);
-  return score(m.predicted, m.mean_counts);
-}
-
 const std::optional<joint_event_model>& joint_detector::model_for(
     std::size_t cls) const {
   ADVH_CHECK(cls < models_.size());

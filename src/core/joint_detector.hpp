@@ -41,8 +41,6 @@ class joint_detector {
   joint_verdict score(std::size_t predicted_class,
                       std::span<const double> mean_counts) const;
 
-  joint_verdict classify(hpc::hpc_monitor& monitor, const tensor& x) const;
-
   const detector_config& config() const noexcept { return cfg_; }
   std::size_t num_classes() const noexcept { return models_.size(); }
   const std::optional<joint_event_model>& model_for(std::size_t cls) const;

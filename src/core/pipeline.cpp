@@ -20,6 +20,18 @@ std::string cache_path(const std::string& cache_dir,
   return cache_dir + "/" + spec.label + "_" + to_string(spec.arch) + ".advh";
 }
 
+/// Adds one verdict to the per-event and fused confusions and the policy
+/// counters.
+void accumulate(detection_eval& eval, const verdict& v, bool is_adversarial) {
+  for (std::size_t e = 0; e < v.flagged.size(); ++e) {
+    eval.per_event[e].push(is_adversarial, v.flagged[e]);
+  }
+  eval.fused.push(is_adversarial, v.adversarial_any);
+  if (!v.modeled) ++eval.unmodeled;
+  if (v.degraded) ++eval.degraded;
+  if (v.abstained) ++eval.abstained;
+}
+
 }  // namespace
 
 scenario_runtime prepare_scenario(data::scenario_id id,
@@ -117,40 +129,8 @@ void evaluate_inputs(const detector& det, hpc::hpc_monitor& monitor,
   if (eval.per_event.size() != det.config().events.size()) {
     eval.per_event.assign(det.config().events.size(), detection_confusion{});
   }
-  const auto verdicts = det.classify_batch(monitor, inputs, threads);
-  for (const verdict& v : verdicts) {
-    for (std::size_t e = 0; e < v.flagged.size(); ++e) {
-      eval.per_event[e].push(is_adversarial, v.flagged[e]);
-    }
-    eval.fused.push(is_adversarial, v.adversarial_any);
-    if (!v.modeled) ++eval.unmodeled;
-    if (v.degraded) ++eval.degraded;
-    if (v.abstained) ++eval.abstained;
-  }
-}
-
-void evaluate_inputs(drift_controller& ctl, hpc::hpc_monitor& monitor,
-                     std::span<const tensor> inputs, bool is_adversarial,
-                     detection_eval& eval, std::size_t threads) {
-  const auto& cfg = ctl.det().config();
-  if (eval.per_event.size() != cfg.events.size()) {
-    eval.per_event.assign(cfg.events.size(), detection_confusion{});
-  }
-  const auto ms =
-      monitor.measure_batch(inputs, cfg.events, cfg.repeats, threads);
-  for (const auto& m : ms) {
-    // The controller only counts quarantine-masked verdicts in aggregate;
-    // diff the counter around the call to attribute it to this input.
-    const std::uint64_t before = ctl.state().quarantined_verdicts;
-    const verdict v = ctl.score_victim(m);
-    for (std::size_t e = 0; e < v.flagged.size(); ++e) {
-      eval.per_event[e].push(is_adversarial, v.flagged[e]);
-    }
-    eval.fused.push(is_adversarial, v.adversarial_any);
-    if (!v.modeled) ++eval.unmodeled;
-    if (v.degraded) ++eval.degraded;
-    if (v.abstained) ++eval.abstained;
-    if (ctl.state().quarantined_verdicts != before) ++eval.quarantined;
+  for (const verdict& v : det.classify_batch(monitor, inputs, threads)) {
+    accumulate(eval, v, is_adversarial);
   }
 }
 
@@ -193,14 +173,8 @@ tracked_eval evaluate_tagged(const detector& det, hpc::hpc_monitor& monitor,
   for (std::size_t k = 0; k < ms.size(); ++k) {
     const tagged_query& q = queries[measured[k]];
     const auto& m = ms[k];
-    const verdict v = det.score(m.predicted, m.mean_counts, m.q.available);
-    for (std::size_t e = 0; e < v.flagged.size(); ++e) {
-      out.eval.per_event[e].push(q.is_adversarial, v.flagged[e]);
-    }
-    out.eval.fused.push(q.is_adversarial, v.adversarial_any);
-    if (!v.modeled) ++out.eval.unmodeled;
-    if (v.degraded) ++out.eval.degraded;
-    if (v.abstained) ++out.eval.abstained;
+    accumulate(out.eval, det.score(m.predicted, m.mean_counts, m.q.available),
+               q.is_adversarial);
     if (q.client != 0) {
       tracker.record_trace(q.client, hpc::sketch_measurement(m));
     }

@@ -1,67 +1,30 @@
 #include "fleet/config.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "common/env.hpp"
+
 namespace advh::fleet {
 
-namespace {
-
-/// Strict parsing for the fleet env knobs, mirroring the convention of
-/// serve::env_positive / track::env_positive_int: the whole string must
-/// parse and the value must land in the stated range.
-double env_number(const char* name, const char* value, double min_value,
-                  double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE || !(v >= min_value) ||
-      !(v <= max_value)) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected a number in [" +
-                                std::to_string(min_value) + ", " +
-                                std::to_string(max_value) + "]");
-  }
-  return v;
-}
-
-std::size_t env_int(const char* name, const char* value, double min_value,
-                    double max_value) {
-  const double v = env_number(name, value, min_value, max_value);
-  const auto n = static_cast<std::size_t>(v);
-  if (static_cast<double>(n) != v) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected an integer in [" +
-                                std::to_string(min_value) + ", " +
-                                std::to_string(max_value) + "]");
-  }
-  return n;
-}
-
-}  // namespace
-
 fleet_config fleet_config_from_env(fleet_config base) {
-  if (const char* env = std::getenv("ADVH_FLEET_REPLICAS")) {
-    base.replicas = env_int("ADVH_FLEET_REPLICAS", env, 1.0, 64.0);
+  if (const auto n = env::integer("ADVH_FLEET_REPLICAS", 1, 64)) {
+    base.replicas = static_cast<std::size_t>(*n);
   }
-  if (const char* env = std::getenv("ADVH_FLEET_CONTROLLERS")) {
-    base.controllers = env_int("ADVH_FLEET_CONTROLLERS", env, 1.0, 7.0);
+  if (const auto n = env::integer("ADVH_FLEET_CONTROLLERS", 1, 7)) {
+    base.controllers = static_cast<std::size_t>(*n);
   }
-  if (const char* env = std::getenv("ADVH_FLEET_REPLICATION")) {
-    base.replication = static_cast<std::uint32_t>(
-        env_int("ADVH_FLEET_REPLICATION", env, 1.0, 4.0));
+  if (const auto n = env::integer("ADVH_FLEET_REPLICATION", 1, 4)) {
+    base.replication = static_cast<std::uint32_t>(*n);
   }
-  if (const char* env = std::getenv("ADVH_FLEET_LOSS_RATE")) {
-    base.loss_rate = env_number("ADVH_FLEET_LOSS_RATE", env, 0.0, 0.95);
+  if (const auto r = env::number("ADVH_FLEET_LOSS_RATE", 0.0, 0.95)) {
+    base.loss_rate = *r;
   }
-  if (const char* env = std::getenv("ADVH_FLEET_SCRUB_PERIOD")) {
-    base.scrub_period = static_cast<std::uint64_t>(
-        env_int("ADVH_FLEET_SCRUB_PERIOD", env, 1.0, 1000000.0));
+  if (const auto n = env::integer("ADVH_FLEET_SCRUB_PERIOD", 1, 1000000)) {
+    base.scrub_period = *n;
   }
-  if (const char* env = std::getenv("ADVH_FLEET_CORRUPT_RATE")) {
-    base.corrupt_rate = env_number("ADVH_FLEET_CORRUPT_RATE", env, 0.0, 0.5);
+  if (const auto r = env::number("ADVH_FLEET_CORRUPT_RATE", 0.0, 0.5)) {
+    base.corrupt_rate = *r;
   }
   return base;
 }

@@ -18,30 +18,44 @@ uarch::uarch_counts sim_backend::profile(const tensor& x,
   return gen_.run(trace);
 }
 
+template <class Put>
+std::size_t sim_backend::sample(const tensor& x,
+                                std::span<const hpc_event> events,
+                                std::size_t repeats,
+                                uarch::trace_generator& gen,
+                                std::uint64_t stream, Put&& put) const {
+  std::size_t predicted = 0;
+  nn::inference_trace trace = model_.trace_inference(x, predicted);
+  const uarch::uarch_counts true_counts = gen.run(trace);
+  rng noise_rng = rng::stream(seed_, stream);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const auto truth = static_cast<double>(extract(true_counts, events[e]));
+    for (std::size_t r = 0; r < repeats; ++r) {
+      put(e, r, noise_.sample(events[e], truth, noise_rng));
+    }
+  }
+  return predicted;
+}
+
 measurement sim_backend::measure_one(const tensor& x,
                                      std::span<const hpc_event> events,
                                      std::size_t repeats,
                                      uarch::trace_generator& gen,
                                      std::uint64_t stream) const {
   measurement out;
-  std::size_t predicted = 0;
-  nn::inference_trace trace = model_.trace_inference(x, predicted);
-  const uarch::uarch_counts true_counts = gen.run(trace);
-  out.predicted = predicted;
-
-  rng noise_rng = rng::stream(seed_, stream);
   out.mean_counts.resize(events.size());
   out.stddev_counts.resize(events.size());
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    const auto truth = static_cast<double>(extract(true_counts, events[e]));
-    stats::running_stats acc;
-    for (std::size_t r = 0; r < repeats; ++r) {
-      acc.push(noise_.sample(events[e], truth, noise_rng));
-    }
-    out.mean_counts[e] = acc.mean();
-    // Population stddev: 0 by construction at repeats == 1, never NaN.
-    out.stddev_counts[e] = acc.stddev();
-  }
+  stats::running_stats acc;
+  out.predicted = sample(x, events, repeats, gen, stream,
+                         [&](std::size_t e, std::size_t r, double value) {
+                           if (r == 0) acc = stats::running_stats{};
+                           acc.push(value);
+                           if (r + 1 < repeats) return;
+                           out.mean_counts[e] = acc.mean();
+                           // Population stddev: 0 by construction at
+                           // repeats == 1, never NaN.
+                           out.stddev_counts[e] = acc.stddev();
+                         });
   return out;
 }
 
@@ -55,26 +69,14 @@ reading_block sim_backend::read_repetitions(const tensor& x,
   block.num_events = events.size();
   block.values.assign(repeats * events.size(), 0.0);
   block.status.assign(repeats * events.size(), reading_block::read_status::ok);
-
-  std::size_t predicted = 0;
-  nn::inference_trace trace = model_.trace_inference(x, predicted);
   // Private replay context per call: trace_generator::run resets its cache
   // and predictor state on entry, so concurrent callers reproduce the same
   // cold-pipeline profile the serial path computes.
   uarch::trace_generator gen(gen_.config());
-  const uarch::uarch_counts true_counts = gen.run(trace);
-  block.predicted = predicted;
-
-  // Same draw order as measure_one (event-outer, repetition-inner), keyed
-  // purely by (seed, stream).
-  rng noise_rng = rng::stream(seed_, stream);
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    const auto truth = static_cast<double>(extract(true_counts, events[e]));
-    for (std::size_t r = 0; r < repeats; ++r) {
-      block.values[r * events.size() + e] =
-          noise_.sample(events[e], truth, noise_rng);
-    }
-  }
+  block.predicted = sample(x, events, repeats, gen, stream,
+                           [&](std::size_t e, std::size_t r, double value) {
+                             block.values[r * events.size() + e] = value;
+                           });
   return block;
 }
 

@@ -57,6 +57,16 @@ class sim_backend final : public hpc_monitor, public raw_reader {
                                             std::size_t threads) override;
 
  private:
+  /// The one measurement body behind measure and read_repetitions: traces
+  /// `x`, replays the trace through `gen`, then draws `repeats` noisy
+  /// readings of every event from the (seed, stream) noise stream,
+  /// event-outer and repetition-inner, handing each to put(event, rep,
+  /// value). Returns the prediction.
+  template <class Put>
+  std::size_t sample(const tensor& x, std::span<const hpc_event> events,
+                     std::size_t repeats, uarch::trace_generator& gen,
+                     std::uint64_t stream, Put&& put) const;
+
   measurement measure_one(const tensor& x, std::span<const hpc_event> events,
                           std::size_t repeats, uarch::trace_generator& gen,
                           std::uint64_t stream) const;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "analysis/policy_pass.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -16,26 +17,6 @@
 #include "track/tracker.hpp"
 
 namespace advh::serve {
-
-namespace {
-
-/// Strict positive-number parsing for the serve env knobs, mirroring the
-/// PR 4 convention (hpc/factory env_rate): the whole string must parse
-/// and land in (0, max_value].
-double env_positive(const char* name, const char* value, double max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE || !(v > 0.0) ||
-      v > max_value) {
-    throw std::invalid_argument(std::string(name) + "=\"" + value +
-                                "\": expected a number in (0, " +
-                                std::to_string(max_value) + "]");
-  }
-  return v;
-}
-
-}  // namespace
 
 clock_duration cost_model::cost(std::uint64_t request_id, std::size_t repeats,
                                 std::size_t events) const {
@@ -54,19 +35,13 @@ clock_duration cost_model::cost(std::uint64_t request_id, std::size_t repeats,
 }
 
 serve_config serve_config_from_env(serve_config base) {
-  if (const char* env = std::getenv("ADVH_QUEUE_DEPTH")) {
-    const double v = env_positive("ADVH_QUEUE_DEPTH", env, 1e6);
-    const auto depth = static_cast<std::size_t>(v);
-    if (static_cast<double>(depth) != v) {
-      throw std::invalid_argument(std::string("ADVH_QUEUE_DEPTH=\"") + env +
-                                  "\": expected a positive integer");
-    }
-    base.queue_capacity = depth;
+  if (const auto depth = env::integer("ADVH_QUEUE_DEPTH", 1, 1000000)) {
+    base.queue_capacity = static_cast<std::size_t>(*depth);
   }
-  if (const char* env = std::getenv("ADVH_DEADLINE_MS")) {
-    const double ms = env_positive("ADVH_DEADLINE_MS", env, 1e7);
+  if (const auto ms = env::number("ADVH_DEADLINE_MS", 0.0, 1e7,
+                                  env::lower_end::open)) {
     base.default_deadline = std::chrono::duration_cast<clock_duration>(
-        std::chrono::duration<double, std::milli>(ms));
+        std::chrono::duration<double, std::milli>(*ms));
   }
   return base;
 }

@@ -140,8 +140,8 @@ struct serve_config {
 };
 
 /// Applies the strict environment overrides to `base` and returns it:
-/// ADVH_QUEUE_DEPTH (positive integer) overrides queue_capacity and
-/// ADVH_DEADLINE_MS (positive number) overrides default_deadline. A
+/// ADVH_QUEUE_DEPTH (integer in [1, 1000000]) overrides queue_capacity
+/// and ADVH_DEADLINE_MS (number in (0, 1e7]) overrides default_deadline. A
 /// set-but-malformed knob throws std::invalid_argument — a typo in a
 /// deployment manifest must fail loudly, not silently misconfigure the
 /// admission controller.

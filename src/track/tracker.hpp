@@ -72,14 +72,6 @@ struct track_config {
   double baseline_alpha = 0.05;
 };
 
-/// Applies the strict environment overrides to `base` and returns it:
-/// ADVH_TRACK_SHARDS (positive integer) overrides table.shards and
-/// ADVH_TRACK_BYTES (positive integer, bytes) overrides table.byte_budget.
-/// A set-but-malformed knob throws std::invalid_argument — the PR 4
-/// strict-validation contract: a typo in a deployment manifest must fail
-/// loudly, not silently mis-size the defense.
-track_config track_config_from_env(track_config base = track_config{});
-
 /// Outcome of one observed query.
 struct track_decision {
   escalation level = escalation::none;

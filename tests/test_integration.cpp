@@ -70,6 +70,39 @@ class IntegrationTest : public ::testing::Test {
     throw invariant_error("event not in core set");
   }
 
+  /// The first `limit` test images the model classifies correctly.
+  static std::vector<tensor> correctly_classified(std::size_t limit) {
+    std::vector<tensor> out;
+    for (std::size_t i = 0; i < test_->size() && out.size() < limit; ++i) {
+      tensor x = nn::single_example(test_->images, i);
+      if (model_->predict_one(x) == test_->labels[i]) out.push_back(x);
+    }
+    return out;
+  }
+
+  /// Successful adversarial examples crafted from the first correctly
+  /// classified test images, at most `limit`.
+  static std::vector<tensor> adversarial_examples(attack::attack& atk,
+                                                  std::size_t limit) {
+    std::vector<tensor> out;
+    for (std::size_t i = 0; i < test_->size() && out.size() < limit; ++i) {
+      tensor x = nn::single_example(test_->images, i);
+      if (model_->predict_one(x) != test_->labels[i]) continue;
+      auto r = atk.run(*model_, x, test_->labels[i]);
+      if (r.success) out.push_back(std::move(r.adversarial));
+    }
+    return out;
+  }
+
+  /// Share of `inputs` whose verdict flags event `e`.
+  static double flag_rate(const std::vector<tensor>& inputs, std::size_t e) {
+    std::size_t flagged = 0;
+    for (const auto& v : detector_->classify_batch(*monitor_, inputs)) {
+      if (v.flagged[e]) ++flagged;
+    }
+    return static_cast<double>(flagged) / static_cast<double>(inputs.size());
+  }
+
   static nn::model* model_;
   static data::dataset* train_;
   static data::dataset* test_;
@@ -85,14 +118,12 @@ core::detector* IntegrationTest::detector_ = nullptr;
 
 TEST_F(IntegrationTest, CleanInputsRarelyFlaggedOnCacheMisses) {
   const std::size_t cm = event_index(hpc::hpc_event::cache_misses);
-  std::size_t flagged = 0, total = 0;
-  for (std::size_t i = 0; i < test_->size(); ++i) {
-    tensor x = nn::single_example(test_->images, i);
-    if (model_->predict_one(x) != test_->labels[i]) continue;
-    const auto v = detector_->classify(*monitor_, x);
-    ++total;
+  const auto inputs = correctly_classified(test_->size());
+  std::size_t flagged = 0;
+  for (const auto& v : detector_->classify_batch(*monitor_, inputs)) {
     if (v.flagged[cm]) ++flagged;
   }
+  const std::size_t total = inputs.size();
   ASSERT_GT(total, 50u);
   // Three-sigma rule: single-digit-percent false positives.
   EXPECT_LT(static_cast<double>(flagged) / static_cast<double>(total), 0.15);
@@ -104,30 +135,11 @@ TEST_F(IntegrationTest, AdversarialInputsFlaggedOnCacheMisses) {
   cfg.epsilon = 0.3f;
   auto atk = attack::make_attack(attack::attack_kind::fgsm, cfg);
 
-  std::size_t adv_flagged = 0, total = 0;
-  for (std::size_t i = 0; i < test_->size() && total < 40; ++i) {
-    tensor x = nn::single_example(test_->images, i);
-    if (model_->predict_one(x) != test_->labels[i]) continue;
-    auto r = atk->run(*model_, x, test_->labels[i]);
-    if (!r.success) continue;
-    const auto v = detector_->classify(*monitor_, r.adversarial);
-    ++total;
-    if (v.flagged[cm]) ++adv_flagged;
-  }
-  ASSERT_GT(total, 10u);
-  const double adv_rate =
-      static_cast<double>(adv_flagged) / static_cast<double>(total);
-
+  const auto aes = adversarial_examples(*atk, 40);
+  ASSERT_GT(aes.size(), 10u);
+  const double adv_rate = flag_rate(aes, cm);
   // Clean baseline flag rate on the same event.
-  std::size_t clean_flagged = 0, clean_total = 0;
-  for (std::size_t i = 0; i < test_->size() && clean_total < 40; ++i) {
-    tensor x = nn::single_example(test_->images, i);
-    if (model_->predict_one(x) != test_->labels[i]) continue;
-    ++clean_total;
-    if (detector_->classify(*monitor_, x).flagged[cm]) ++clean_flagged;
-  }
-  const double clean_rate =
-      static_cast<double>(clean_flagged) / static_cast<double>(clean_total);
+  const double clean_rate = flag_rate(correctly_classified(40), cm);
 
   // The tiny 16x16 fixture has less data-flow signal than the full
   // 32x32 scenarios, so assert the *relative* property: AEs are flagged
@@ -143,23 +155,14 @@ TEST_F(IntegrationTest, InstructionEventIsChanceLevel) {
   cfg.epsilon = 0.1f;
   auto atk = attack::make_attack(attack::attack_kind::fgsm, cfg);
 
-  std::size_t flagged = 0, total = 0;
-  for (std::size_t i = 0; i < test_->size() && total < 30; ++i) {
-    tensor x = nn::single_example(test_->images, i);
-    if (model_->predict_one(x) != test_->labels[i]) continue;
-    auto r = atk->run(*model_, x, test_->labels[i]);
-    if (!r.success) continue;
-    const auto v = detector_->classify(*monitor_, r.adversarial);
-    ++total;
-    if (v.flagged[insn]) ++flagged;
-  }
-  ASSERT_GT(total, 10u);
-  EXPECT_LT(static_cast<double>(flagged) / static_cast<double>(total), 0.3);
+  const auto aes = adversarial_examples(*atk, 30);
+  ASSERT_GT(aes.size(), 10u);
+  EXPECT_LT(flag_rate(aes, insn), 0.3);
 }
 
 TEST_F(IntegrationTest, VerdictFieldsConsistent) {
-  tensor x = nn::single_example(test_->images, 0);
-  const auto v = detector_->classify(*monitor_, x);
+  const std::vector<tensor> x = {nn::single_example(test_->images, 0)};
+  const auto v = detector_->classify_batch(*monitor_, x)[0];
   EXPECT_EQ(v.nll.size(), hpc::core_events().size());
   EXPECT_EQ(v.flagged.size(), hpc::core_events().size());
   bool any = false;
@@ -168,20 +171,29 @@ TEST_F(IntegrationTest, VerdictFieldsConsistent) {
   EXPECT_LT(v.predicted, 4u);
 }
 
-TEST_F(IntegrationTest, TemplateBuilderSkipsMisclassified) {
+TEST_F(IntegrationTest, CollectTemplateSkipsMisclassified) {
   core::detector_config dcfg;
   dcfg.events = {hpc::hpc_event::cache_misses};
   dcfg.repeats = 2;
-  core::template_builder builder(*monitor_, dcfg, 4);
-  // Feed images with deliberately wrong labels: all must be rejected.
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < 10; ++i) {
-    tensor x = nn::single_example(test_->images, i);
-    const std::size_t wrong = (test_->labels[i] + 1) % 4;
-    if (model_->predict_one(x) == wrong) continue;  // skip lucky collisions
-    if (builder.add_sample(x, wrong)) ++accepted;
+  // Relabel every test image with a wrong class the model does not
+  // predict: collect_template must accept none of them.
+  std::vector<std::size_t> keep;
+  std::vector<std::size_t> wrong;
+  for (std::size_t i = 0; i < test_->size(); ++i) {
+    const std::size_t w = (test_->labels[i] + 1) % 4;
+    if (model_->predict_one(nn::single_example(test_->images, i)) == w) {
+      continue;  // skip lucky collisions
+    }
+    keep.push_back(i);
+    wrong.push_back(w);
   }
-  EXPECT_EQ(accepted, 0u);
+  data::dataset mislabelled = data::subset(*test_, keep);
+  mislabelled.labels = wrong;
+  const auto tpl =
+      core::collect_template(*monitor_, dcfg, mislabelled, 5, 11);
+  for (std::size_t cls = 0; cls < 4; ++cls) EXPECT_EQ(tpl.rows(cls), 0u);
+  EXPECT_EQ(tpl.underfilled_classes(),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST_F(IntegrationTest, EvaluateInputsAccumulates) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -390,7 +391,8 @@ TEST(DegradedDetection, AbstainFiresAtConfiguredSurvivorThreshold) {
       std::make_unique<sim_backend>(*model), std::vector<std::size_t>{0, 4});
   resilient_monitor mon(std::move(killer));
 
-  const auto v = det.classify(mon, test_input());
+  const std::vector<tensor> input = {test_input()};
+  const auto v = det.classify_batch(mon, input, 1)[0];
   EXPECT_TRUE(v.degraded);
   EXPECT_TRUE(v.abstained);
   EXPECT_TRUE(v.adversarial_any);  // fail-closed abstain policy
@@ -402,7 +404,7 @@ TEST(DegradedDetection, AbstainFiresAtConfiguredSurvivorThreshold) {
   auto killer2 = std::make_unique<event_killer>(
       std::make_unique<sim_backend>(*model), std::vector<std::size_t>{0, 4});
   resilient_monitor mon2(std::move(killer2));
-  const auto v2 = open_det.classify(mon2, test_input());
+  const auto v2 = open_det.classify_batch(mon2, input, 1)[0];
   EXPECT_TRUE(v2.abstained);
   EXPECT_FALSE(v2.adversarial_any);
 }
@@ -450,6 +452,52 @@ TEST(DegradedDetection, ScoreMaskRenormalisesFusion) {
   EXPECT_THROW(det.score(m.predicted, m.mean_counts,
                          std::vector<std::uint8_t>{1, 0}),
                invariant_error);
+}
+
+// The measure -> score contract of classify_batch: at any thread count
+// its verdicts equal a serial measure() + score() loop on a fresh monitor
+// of the same construction, availability mask included.
+void expect_batch_equals_serial_loop(
+    const std::function<monitor_ptr(nn::model&)>& make_monitor) {
+  auto model = make_test_model();
+  const auto cfg = sim_detector_config();
+  const auto det = fit_sim_detector(*model, cfg);
+  const auto batch = test_batch(10);
+
+  auto serial = make_monitor(*model);
+  std::vector<core::verdict> reference;
+  for (const auto& x : batch) {
+    const auto m = serial->measure(x, cfg.events, cfg.repeats);
+    reference.push_back(det.score(m.predicted, m.mean_counts, m.q.available));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    auto mon = make_monitor(*model);
+    const auto out = det.classify_batch(*mon, batch, threads);
+    ASSERT_EQ(out.size(), reference.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, input " << i);
+      EXPECT_EQ(out[i].predicted, reference[i].predicted);
+      EXPECT_EQ(out[i].nll, reference[i].nll);
+      EXPECT_EQ(out[i].flagged, reference[i].flagged);
+      EXPECT_EQ(out[i].adversarial_any, reference[i].adversarial_any);
+      EXPECT_EQ(out[i].modeled, reference[i].modeled);
+      EXPECT_EQ(out[i].degraded, reference[i].degraded);
+      EXPECT_EQ(out[i].abstained, reference[i].abstained);
+    }
+  }
+}
+
+TEST(ClassifyBatch, EqualsSerialMeasureScoreOnSimulator) {
+  expect_batch_equals_serial_loop([](nn::model& m) -> monitor_ptr {
+    return std::make_unique<sim_backend>(m);
+  });
+}
+
+TEST(ClassifyBatch, EqualsSerialMeasureScoreOnFaultResilientStack) {
+  fault_config fc = transient_faults(0.2);
+  fc.permanent_loss_rate = 0.02;
+  expect_batch_equals_serial_loop(
+      [&](nn::model& m) { return make_stack(m, fc); });
 }
 
 }  // namespace

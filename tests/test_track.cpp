@@ -15,6 +15,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -485,23 +486,6 @@ class env_guard {
   std::optional<std::string> saved_;
 };
 
-TEST(TrackEnvKnobs, StrictParseAndOverride) {
-  env_guard g1("ADVH_TRACK_SHARDS"), g2("ADVH_TRACK_BYTES");
-  ::setenv("ADVH_TRACK_SHARDS", "4", 1);
-  ::setenv("ADVH_TRACK_BYTES", "1048576", 1);
-  const auto cfg = track_config_from_env();
-  EXPECT_EQ(cfg.table.shards, 4u);
-  EXPECT_EQ(cfg.table.byte_budget, std::size_t{1} << 20);
-
-  ::setenv("ADVH_TRACK_SHARDS", "0", 1);  // zero shards: no table
-  EXPECT_THROW(track_config_from_env(), std::invalid_argument);
-  ::setenv("ADVH_TRACK_SHARDS", "2.5", 1);  // fractional shard count
-  EXPECT_THROW(track_config_from_env(), std::invalid_argument);
-  ::unsetenv("ADVH_TRACK_SHARDS");
-  ::setenv("ADVH_TRACK_BYTES", "8MiB", 1);  // units are not parsed
-  EXPECT_THROW(track_config_from_env(), std::invalid_argument);
-}
-
 /// Sweeps EVERY ADVH_* knob through garbage values: each one must throw
 /// std::invalid_argument rather than silently fall back. This is the
 /// regression net for the PR 4 strict-validation contract — a knob that
@@ -517,14 +501,16 @@ TEST(EnvKnobSweep, EveryKnobRejectsGarbage) {
       {"ADVH_DRIFT_RATE", [] { (void)hpc::drift_profile_from_env(); }},
       {"ADVH_QUEUE_DEPTH", [] { (void)serve::serve_config_from_env(); }},
       {"ADVH_DEADLINE_MS", [] { (void)serve::serve_config_from_env(); }},
-      {"ADVH_TRACK_SHARDS", [] { (void)track_config_from_env(); }},
-      {"ADVH_TRACK_BYTES", [] { (void)track_config_from_env(); }},
       {"ADVH_BENCH_SCALE", [] { (void)bench::scale(); }},
       {"ADVH_FLEET_REPLICAS", [] { (void)fleet::fleet_config_from_env(); }},
       {"ADVH_FLEET_LOSS_RATE", [] { (void)fleet::fleet_config_from_env(); }},
       {"ADVH_FLEET_CONTROLLERS",
        [] { (void)fleet::fleet_config_from_env(); }},
       {"ADVH_FLEET_REPLICATION",
+       [] { (void)fleet::fleet_config_from_env(); }},
+      {"ADVH_FLEET_SCRUB_PERIOD",
+       [] { (void)fleet::fleet_config_from_env(); }},
+      {"ADVH_FLEET_CORRUPT_RATE",
        [] { (void)fleet::fleet_config_from_env(); }},
   };
   const char* garbage[] = {"banana", "12banana", "", "-3", "1e999"};
@@ -538,6 +524,55 @@ TEST(EnvKnobSweep, EveryKnobRejectsGarbage) {
     ::unsetenv(k.name);
     EXPECT_NO_THROW(k.load()) << k.name << " unset must use the default";
   }
+}
+
+/// Integer knobs parse as base-10 integers only: a decimal point, an
+/// exponent or a hex prefix is rejected even when the value it spells is
+/// in range.
+TEST(EnvKnobSweep, IntegerKnobsRejectNonDecimalForms) {
+  const auto serve_load = [] { (void)serve::serve_config_from_env(); };
+  const auto fleet_load = [] { (void)fleet::fleet_config_from_env(); };
+  const std::vector<std::pair<const char*, std::function<void()>>> knobs = {
+      {"ADVH_THREADS", [] { (void)parallel::default_threads(); }},
+      {"ADVH_QUEUE_DEPTH", serve_load},
+      {"ADVH_FLEET_REPLICAS", fleet_load},
+      {"ADVH_FLEET_CONTROLLERS", fleet_load},
+      {"ADVH_FLEET_REPLICATION", fleet_load},
+      {"ADVH_FLEET_SCRUB_PERIOD", fleet_load},
+  };
+  for (const auto& [name, load] : knobs) {
+    env_guard guard(name);
+    for (const char* bad : {"4.0", "1e1", "0x10", "2.0", "2e0", "0x2"}) {
+      ::setenv(name, bad, 1);
+      EXPECT_THROW(load(), std::invalid_argument)
+          << name << "=\"" << bad << "\" was accepted as an integer";
+    }
+    ::setenv(name, "2", 1);
+    EXPECT_NO_THROW(load()) << name << "=\"2\" must be accepted";
+  }
+}
+
+TEST(EnvKnobSweep, MessageNamesKnobValueAndRange) {
+  const auto message = [](const char* name, const char* value,
+                          const std::function<void()>& load) {
+    env_guard guard(name);
+    ::setenv(name, value, 1);
+    try {
+      load();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message("ADVH_QUEUE_DEPTH", "4.0",
+                    [] { (void)serve::serve_config_from_env(); }),
+            "ADVH_QUEUE_DEPTH=\"4.0\": expected an integer in [1, 1000000]");
+  EXPECT_EQ(message("ADVH_DEADLINE_MS", "0",
+                    [] { (void)serve::serve_config_from_env(); }),
+            "ADVH_DEADLINE_MS=\"0\": expected a number in (0, 1e+07]");
+  EXPECT_EQ(message("ADVH_FLEET_LOSS_RATE", "0.96",
+                    [] { (void)fleet::fleet_config_from_env(); }),
+            "ADVH_FLEET_LOSS_RATE=\"0.96\": expected a number in [0, 0.95]");
 }
 
 }  // namespace
