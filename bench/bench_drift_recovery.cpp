@@ -38,6 +38,7 @@
 #include "bench/bench_common.hpp"
 #include "core/detector_io.hpp"
 #include "hpc/drift_backend.hpp"
+#include "hpc/factory.hpp"
 #include "hpc/fault_backend.hpp"
 #include "hpc/resilient_monitor.hpp"
 
@@ -53,18 +54,6 @@ constexpr double kMaxAccuracyDrop = 2.0;     // percentage points
 constexpr double kMaxSilentFpExcess = 2.0;   // percentage points
 constexpr std::size_t kWarmupEpochs = 2;
 
-/// Same rate split the ADVH_FAULT_RATE chaos knob uses (hpc/factory).
-hpc::fault_config faults_for(double rate) {
-  hpc::fault_config fc;
-  fc.read_failure_rate = rate;
-  fc.spike_rate = rate / 2.0;
-  fc.stuck_rate = rate / 4.0;
-  fc.hang_rate = rate / 50.0;
-  fc.hang_ms = 1;
-  fc.seed = 13;
-  return fc;
-}
-
 /// sim [-> drift] [-> fault] -> resilient stack with fixed seeds. Drift
 /// sits closest to the hardware: faults corrupt an already-drifted
 /// baseline, the order deployments experience.
@@ -76,8 +65,8 @@ hpc::monitor_ptr make_stack(nn::model& m,
     stack = std::make_unique<hpc::drift_backend>(std::move(stack), *drift);
   }
   if (fault_rate > 0.0) {
-    stack = std::make_unique<hpc::fault_backend>(std::move(stack),
-                                                 faults_for(fault_rate));
+    stack = std::make_unique<hpc::fault_backend>(
+        std::move(stack), hpc::fault_config_at_rate(fault_rate));
   }
   return std::make_unique<hpc::resilient_monitor>(std::move(stack));
 }

@@ -93,10 +93,9 @@ serve::serve_config service_config(std::size_t threads) {
 /// service estimate / overload factor.
 std::vector<arrival> make_schedule(std::size_t n_traffic,
                                    std::size_t pool_size,
-                                   const serve::serve_config& cfg,
                                    std::size_t n_events, std::size_t repeats) {
-  const auto est_full = cfg.sim_cost.fixed +
-                        cfg.sim_cost.per_unit *
+  const auto est_full = serve::kSimFixedCost +
+                        serve::kSimUnitCost *
                             static_cast<clock_duration::rep>(
                                 repeats * n_events);
   const auto period = clock_duration(static_cast<clock_duration::rep>(
@@ -252,10 +251,8 @@ int main(int argc, char** argv) {
     baseline_all.push(pool_adv[i], baseline_verdicts[i].adversarial_any);
   }
 
-  const auto cfg = service_config(threads);
-  const auto schedule =
-      make_schedule(bench::scaled(1200), pool.size(), cfg, dcfg.events.size(),
-                    dcfg.repeats);
+  const auto schedule = make_schedule(bench::scaled(1200), pool.size(),
+                                      dcfg.events.size(), dcfg.repeats);
   const auto run =
       run_overload(det, *rt.net, schedule, pool, canary_input, threads);
   const auto& s = run.stats;

@@ -35,20 +35,6 @@ bool same_template(const core::benign_template& a,
   return true;
 }
 
-bool same_verdicts(const std::vector<core::verdict>& a,
-                   const std::vector<core::verdict>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].predicted != b[i].predicted || a[i].nll != b[i].nll ||
-        a[i].flagged != b[i].flagged ||
-        a[i].adversarial_any != b[i].adversarial_any ||
-        a[i].modeled != b[i].modeled) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -119,8 +105,7 @@ int main(int argc, char** argv) {
       online_base = online_s;
     } else {
       identical =
-          same_template(*baseline_tpl, tpl) &&
-          same_verdicts(baseline_verdicts, verdicts);
+          same_template(*baseline_tpl, tpl) && baseline_verdicts == verdicts;
     }
     all_identical = all_identical && identical;
 

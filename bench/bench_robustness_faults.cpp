@@ -19,6 +19,7 @@
 #include <sstream>
 
 #include "bench/bench_common.hpp"
+#include "hpc/factory.hpp"
 #include "hpc/fault_backend.hpp"
 #include "hpc/resilient_monitor.hpp"
 
@@ -30,29 +31,17 @@ constexpr double kAcceptRate = 0.10;      // the gated sweep point
 constexpr double kMinRecovery = 0.99;
 constexpr double kMaxAccuracyDrop = 2.0;  // percentage points
 
-/// Same rate split the ADVH_FAULT_RATE chaos knob uses (hpc/factory).
-hpc::fault_config faults_for(double rate) {
-  hpc::fault_config fc;
-  fc.read_failure_rate = rate;
-  fc.spike_rate = rate / 2.0;
-  fc.stuck_rate = rate / 4.0;
-  fc.hang_rate = rate / 50.0;
-  fc.hang_ms = 1;
-  fc.seed = 13;
-  return fc;
-}
-
 /// sim -> fault -> resilient stack with fixed seeds everywhere.
 hpc::monitor_ptr resilient_stack(nn::model& m, double rate) {
-  auto faulty = std::make_unique<hpc::fault_backend>(bench::make_monitor(m),
-                                                     faults_for(rate));
+  auto faulty = std::make_unique<hpc::fault_backend>(
+      bench::make_monitor(m), hpc::fault_config_at_rate(rate));
   return std::make_unique<hpc::resilient_monitor>(std::move(faulty));
 }
 
 /// sim -> fault stack: faulted readings aggregated naively.
 hpc::monitor_ptr naive_stack(nn::model& m, double rate) {
-  return std::make_unique<hpc::fault_backend>(bench::make_monitor(m),
-                                              faults_for(rate));
+  return std::make_unique<hpc::fault_backend>(
+      bench::make_monitor(m), hpc::fault_config_at_rate(rate));
 }
 
 struct eval_outcome {
@@ -97,36 +86,6 @@ double recovery_fraction(const eval_outcome& out) {
   }
   return static_cast<double>(recovered) /
          static_cast<double>(out.measurements.size());
-}
-
-bool same_measurements(const std::vector<hpc::measurement>& a,
-                       const std::vector<hpc::measurement>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].mean_counts != b[i].mean_counts ||
-        a[i].stddev_counts != b[i].stddev_counts ||
-        a[i].predicted != b[i].predicted ||
-        a[i].q.available != b[i].q.available ||
-        a[i].q.retries != b[i].q.retries ||
-        a[i].q.outliers_rejected != b[i].q.outliers_rejected ||
-        a[i].q.failed_repetitions != b[i].q.failed_repetitions) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool same_verdicts(const std::vector<core::verdict>& a,
-                   const std::vector<core::verdict>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].predicted != b[i].predicted || a[i].nll != b[i].nll ||
-        a[i].adversarial_any != b[i].adversarial_any ||
-        a[i].degraded != b[i].degraded || a[i].abstained != b[i].abstained) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -230,9 +189,8 @@ int main(int argc, char** argv) {
   auto t4 = resilient_stack(*rt.net, kAcceptRate);
   const auto run1 = evaluate(det, *t1, clean, adv.inputs, 1);
   const auto run4 = evaluate(det, *t4, clean, adv.inputs, 4);
-  const bool deterministic = same_measurements(run1.measurements,
-                                               run4.measurements) &&
-                             same_verdicts(run1.verdicts, run4.verdicts);
+  const bool deterministic = run1.measurements == run4.measurements &&
+                             run1.verdicts == run4.verdicts;
 
   // Self-check 2: recovery and accuracy at the acceptance rate.
   const double acc_drop = baseline_acc - accept_acc;

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(std::max(0, cli.get_int("drift-epoch")));
   hpc::monitor_options mopts;
   mopts.kind = hpc::backend_kind::simulator;
-  mopts.resilience = hpc::resilience_config{};
+  mopts.resilience = true;
   if (drift_epoch < epochs) {
     hpc::drift_profile profile;
     profile.shape = hpc::drift_profile::shape_kind::step;

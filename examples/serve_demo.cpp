@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
 
   // Open-loop schedule at the configured overload factor.
   const auto est_full =
-      scfg.sim_cost.fixed +
-      scfg.sim_cost.per_unit * static_cast<serve::clock_duration::rep>(
+      serve::kSimFixedCost +
+      serve::kSimUnitCost * static_cast<serve::clock_duration::rep>(
                                    dcfg.repeats * dcfg.events.size());
   const double overload = std::max(1.0, cli.get_double("overload"));
   const auto period = serve::clock_duration(

@@ -10,6 +10,19 @@ namespace advh::analysis {
 
 namespace {
 
+/// Relative envelope widening (absorbs multiplicative measurement noise
+/// and repeat-mean spread).
+constexpr double kRelMargin = 0.10;
+/// Absolute widening (absorbs the additive background-noise floor of
+/// events whose raw counts are small).
+constexpr double kAbsMargin = 65536.0;
+/// Components below this mixture weight are ignored (numerical dust from
+/// EM, not evidence of tampering).
+constexpr double kMinComponentWeight = 0.01;
+/// Half-width, in component standard deviations, of the mass interval
+/// compared against the envelope.
+constexpr double kSigmaSpan = 3.0;
+
 const uarch::count_interval& interval_for(const uarch::static_envelope& env,
                                           hpc::hpc_event e) {
   switch (e) {
@@ -43,15 +56,16 @@ std::string fmt(double v) {
 
 }  // namespace
 
-uarch::static_envelope model_envelope(nn::model& m,
-                                      const envelope_options& opts) {
+uarch::static_envelope model_envelope(
+    nn::model& m, const uarch::trace_gen_config& cost_model) {
   return uarch::analyze_abstract_trace(abstract_inference_trace(m),
-                                       opts.cost_model);
+                                       cost_model);
 }
 
 void check_envelope(nn::model& m, const core::detector& det,
-                    const envelope_options& opts, check_report& out) {
-  const uarch::static_envelope env = model_envelope(m, opts);
+                    const uarch::trace_gen_config& cost_model,
+                    check_report& out) {
+  const uarch::static_envelope env = model_envelope(m, cost_model);
   const auto& events = det.config().events;
 
   for (std::size_t cls = 0; cls < det.num_classes(); ++cls) {
@@ -66,15 +80,15 @@ void check_envelope(nn::model& m, const core::detector& det,
       const auto comps = em->model.components();
       for (std::size_t k = 0; k < comps.size(); ++k) {
         const auto& c = comps[k];
-        if (c.weight < opts.min_component_weight) continue;
+        if (c.weight < kMinComponentWeight) continue;
         const double sd = std::sqrt(c.variance);
         // The component's mass interval: if even its nearest edge cannot
         // reach the widened envelope, the mass is infeasible.
-        const double mass_lo = c.mean - opts.sigma_span * sd;
-        const double mass_hi = c.mean + opts.sigma_span * sd;
+        const double mass_lo = c.mean - kSigmaSpan * sd;
+        const double mass_hi = c.mean + kSigmaSpan * sd;
         const bool feasible =
-            iv.contains(mass_lo, opts.rel_margin, opts.abs_margin) ||
-            iv.contains(mass_hi, opts.rel_margin, opts.abs_margin) ||
+            iv.contains(mass_lo, kRelMargin, kAbsMargin) ||
+            iv.contains(mass_hi, kRelMargin, kAbsMargin) ||
             (mass_lo < iv.lo && mass_hi > iv.hi);
         if (feasible) continue;
         out.add(severity::error, 301, where,

@@ -6,7 +6,7 @@
 
 namespace advh::analysis {
 
-verification_report verify_model(nn::model& m, const verify_options& opts) {
+verification_report verify_model(nn::model& m) {
   verification_report report;
   report.model_name = m.name();
   report.input_shape = m.input_shape().to_string();
@@ -26,16 +26,15 @@ verification_report verify_model(nn::model& m, const verify_options& opts) {
                        "parent; its computation would be double-counted");
   }
 
-  if (opts.check_shapes) detail::run_shape_pass(m, report);
-  if (opts.check_params) detail::run_param_pass(m, graph, report);
-  if (opts.check_trace) detail::run_trace_pass(graph, report);
-  if (opts.check_structure) detail::run_structure_pass(m, graph, report);
+  detail::run_shape_pass(m, report);
+  detail::run_param_pass(m, graph, report);
+  detail::run_trace_pass(graph, report);
+  detail::run_structure_pass(m, graph, report);
   return report;
 }
 
-void ensure_verified(nn::model& m, const std::string& context,
-                     const verify_options& opts) {
-  verification_report report = verify_model(m, opts);
+void ensure_verified(nn::model& m, const std::string& context) {
+  verification_report report = verify_model(m);
   if (report.has_errors()) {
     throw verification_error(std::move(report), context);
   }

@@ -16,7 +16,7 @@
 //                   head, batch-norm epsilon/momentum range contracts.
 //
 // Choke points (nn::load_state, core::prepare_scenario) call
-// ensure_verified and refuse to proceed on errors; the advh_lint tool
+// ensure_verified and refuse to proceed on errors; the advh_check tool
 // exposes the same report on the command line.
 #pragma once
 
@@ -25,21 +25,12 @@
 
 namespace advh::analysis {
 
-struct verify_options {
-  bool check_shapes = true;
-  bool check_params = true;
-  bool check_trace = true;
-  bool check_structure = true;
-};
-
-/// Runs all enabled passes and returns the combined report. Never throws
+/// Runs all four passes and returns the combined report. Never throws
 /// on graph defects — they land in the report.
-verification_report verify_model(nn::model& m,
-                                 const verify_options& opts = {});
+verification_report verify_model(nn::model& m);
 
 /// Verifies and throws verification_error when the report carries errors.
 /// `context` names the caller in the log line (e.g. the state-file path).
-void ensure_verified(nn::model& m, const std::string& context,
-                     const verify_options& opts = {});
+void ensure_verified(nn::model& m, const std::string& context);
 
 }  // namespace advh::analysis

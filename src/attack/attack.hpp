@@ -24,14 +24,10 @@ struct attack_config {
   std::size_t target_class = 0;
   /// L-infinity budget (FGSM/PGD); ignored by DeepFool.
   float epsilon = 0.1f;
-  /// PGD: number of gradient steps.
+  /// PGD: number of gradient steps, each of size 2.5 * epsilon / steps.
   std::size_t steps = 10;
-  /// PGD: per-step size; 0 means 2.5 * epsilon / steps.
-  float step_size = 0.0f;
   /// DeepFool: maximum iterations.
   std::size_t max_iter = 30;
-  /// DeepFool: overshoot factor applied to the minimal perturbation.
-  float overshoot = 0.02f;
 };
 
 struct attack_result {

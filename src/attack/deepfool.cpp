@@ -11,6 +11,9 @@ namespace advh::attack {
 
 namespace {
 
+/// Overshoot factor applied to the accumulated minimal perturbation.
+constexpr float kOvershoot = 0.02f;
+
 /// Gradient of logit `cls` w.r.t. the input of the *cached* forward pass.
 tensor logit_gradient(nn::model& m, const tensor& logits, std::size_t cls) {
   tensor one_hot(logits.dims());
@@ -86,7 +89,7 @@ attack_result deepfool::run(nn::model& m, const tensor& x,
     tensor r = ops::scale(best_w, static_cast<float>(scale));
     ops::axpy(total_r, r, 1.0f);
 
-    adv = ops::add(x, ops::scale(total_r, 1.0f + cfg_.overshoot));
+    adv = ops::add(x, ops::scale(total_r, 1.0f + kOvershoot));
     ops::clamp_inplace(adv, 0.0f, 1.0f);
   }
 

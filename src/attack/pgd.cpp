@@ -10,10 +10,7 @@ namespace advh::attack {
 
 attack_result pgd::run(nn::model& m, const tensor& x, std::size_t true_label) {
   ADVH_CHECK(cfg_.epsilon >= 0.0f && cfg_.steps > 0);
-  const float alpha = cfg_.step_size > 0.0f
-                          ? cfg_.step_size
-                          : 2.5f * cfg_.epsilon /
-                                static_cast<float>(cfg_.steps);
+  const float alpha = 2.5f * cfg_.epsilon / static_cast<float>(cfg_.steps);
   const bool targeted = cfg_.goal == attack_goal::targeted;
   const std::size_t loss_label = targeted ? cfg_.target_class : true_label;
   const float direction = targeted ? -1.0f : 1.0f;

@@ -101,6 +101,8 @@ struct verdict {
   /// modelled events were available; adversarial_any is then the
   /// flag_on_abstain policy, not measured evidence.
   bool abstained = false;
+
+  bool operator==(const verdict&) const = default;
 };
 
 class detector {

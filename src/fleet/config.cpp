@@ -53,7 +53,6 @@ void validate(const fleet_config& cfg) {
   }
   if (cfg.handoff_batch < 1) fail("handoff_batch must be positive");
   if (cfg.scrub_period < 1) fail("scrub_period must be positive");
-  if (cfg.repair_batch < 1) fail("repair_batch must be positive");
   if (!(cfg.corrupt_rate >= 0.0) || cfg.corrupt_rate > 0.5) {
     fail("corrupt_rate must lie in [0, 0.5]");
   }

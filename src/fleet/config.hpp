@@ -102,9 +102,6 @@ struct fleet_config {
   /// re-verifies its own on-disk artifacts and exchanges range digests
   /// with its ownership peers (read repair rides on the divergences).
   std::uint64_t scrub_period = 24;
-  /// Repair-traffic bound: at most this many shard repairs a replica
-  /// requests per scrub round, so anti-entropy can never starve serving.
-  std::size_t repair_batch = 1;
   /// Per-(file, opportunity) probability of a seeded disk-corruption
   /// fault when corruption chaos is enabled (0 disables).
   double corrupt_rate = 0.0;

@@ -10,6 +10,11 @@ namespace advh::fleet {
 
 namespace {
 
+/// Repair-traffic bound: at most this many shard repairs a replica
+/// requests per scrub round, and serves per tick, so anti-entropy can
+/// never starve serving.
+constexpr std::size_t kRepairBatch = 1;
+
 /// Ballot/staging deadline: a rollout stuck on a dead voter or validator
 /// aborts after this many ticks and retries at the next alarm check.
 std::uint64_t rollout_deadline(const fleet_config& cfg) {
@@ -982,14 +987,14 @@ void replica::handle_digest(const message& m, std::uint64_t tick) {
       src_holder = owner.has_value() && *owner == m.src;
     }
     if (!src_holder) continue;
-    // Rate bound: at most repair_batch pulls per scrub period, and no
+    // Rate bound: at most kRepairBatch pulls per scrub period, and no
     // duplicate request for a shard already in flight.
     const auto it = repair_requested_.find(s);
     if (it != repair_requested_.end() &&
         tick < it->second + cfg_.scrub_period) {
       continue;
     }
-    if (repairs_in_round_ >= cfg_.repair_batch) continue;
+    if (repairs_in_round_ >= kRepairBatch) continue;
     ++repairs_in_round_;
     repair_requested_[s] = tick;
     message req;
@@ -1038,7 +1043,7 @@ void replica::handle_repair_request(const message& m, std::uint64_t tick) {
     repairs_served_tick_ = tick;
     repairs_served_count_ = 0;
   }
-  if (repairs_served_count_ >= cfg_.repair_batch) return;
+  if (repairs_served_count_ >= kRepairBatch) return;
   ++repairs_served_count_;
   // Republish our applied content (also heals the shared latest file if
   // it was the corrupt artifact) and hand the requester the path.

@@ -227,9 +227,9 @@ class replica {
   std::map<std::uint64_t, std::uint64_t> repair_requested_;
   /// peer -> tick of the last ban_sync we pushed to it (rate bound).
   std::map<std::uint32_t, std::uint64_t> ban_synced_;
-  /// repair_requests issued since the last scrub (<= cfg.repair_batch).
+  /// repair_requests issued since the last scrub (<= the repair batch bound).
   std::size_t repairs_in_round_ = 0;
-  /// repair_requests answered this tick (<= cfg.repair_batch).
+  /// repair_requests answered this tick (<= the repair batch bound).
   std::uint64_t repairs_served_tick_ = 0;
   std::size_t repairs_served_count_ = 0;
 

@@ -7,9 +7,7 @@
 
 namespace advh::hpc {
 
-std::optional<fault_config> fault_config_from_env() {
-  const double rate = env::number("ADVH_FAULT_RATE", 0.0, 1.0).value_or(0.0);
-  if (rate == 0.0) return std::nullopt;
+fault_config fault_config_at_rate(double rate) {
   fault_config cfg;
   cfg.read_failure_rate = rate;
   cfg.spike_rate = rate / 2.0;
@@ -19,6 +17,12 @@ std::optional<fault_config> fault_config_from_env() {
   cfg.hang_rate = rate / 50.0;
   cfg.hang_ms = 1;
   return cfg;
+}
+
+std::optional<fault_config> fault_config_from_env() {
+  const double rate = env::number("ADVH_FAULT_RATE", 0.0, 1.0).value_or(0.0);
+  if (rate == 0.0) return std::nullopt;
+  return fault_config_at_rate(rate);
 }
 
 std::optional<drift_profile> drift_profile_from_env() {
@@ -68,9 +72,8 @@ monitor_ptr make_monitor(nn::model& m, const monitor_options& opts) {
               opts.faults->read_failure_rate, ")");
     base = std::make_unique<fault_backend>(std::move(base), *opts.faults);
   }
-  if (opts.resilience.has_value()) {
-    base = std::make_unique<resilient_monitor>(std::move(base),
-                                               *opts.resilience);
+  if (opts.resilience) {
+    base = std::make_unique<resilient_monitor>(std::move(base));
   }
   return base;
 }
@@ -86,9 +89,7 @@ monitor_ptr make_monitor(nn::model& m, backend_kind kind,
   // behind the resilient layer, so it always comes along here.
   opts.drift = drift_profile_from_env();
   opts.faults = fault_config_from_env();
-  if (opts.drift.has_value() || opts.faults.has_value()) {
-    opts.resilience = resilience_config{};
-  }
+  opts.resilience = opts.drift.has_value() || opts.faults.has_value();
   return make_monitor(m, opts);
 }
 

@@ -36,8 +36,8 @@ struct monitor_options {
   /// fault_backend injecting deterministic faults (chaos testing).
   std::optional<fault_config> faults;
   /// When set, the (possibly drifted/faulty) stack is wrapped in a
-  /// resilient_monitor.
-  std::optional<resilience_config> resilience;
+  /// resilient_monitor with the default retry policy.
+  bool resilience = false;
 };
 
 /// Builds the monitor stack described by `opts` over `m`. With
@@ -53,9 +53,13 @@ monitor_ptr make_monitor(nn::model& m,
                          const uarch::trace_gen_config& sim_cfg = {},
                          std::uint64_t noise_seed = 99);
 
-/// Parses the ADVH_FAULT_RATE environment variable into a fault profile:
-/// transient read failures at the given rate, spikes at half of it, and
-/// stuck-at reads at a quarter. Returns nullopt when unset or 0; throws
+/// The chaos fault profile at `rate`: transient read failures at the
+/// given rate, spikes at half of it, stuck-at reads at a quarter, and
+/// rare 1 ms hangs at a fiftieth. Default fault seed.
+fault_config fault_config_at_rate(double rate);
+
+/// Parses the ADVH_FAULT_RATE environment variable into
+/// fault_config_at_rate(rate). Returns nullopt when unset or 0; throws
 /// std::invalid_argument when set to a negative, non-numeric, or > 1
 /// value (a broken chaos knob must not silently disable the chaos).
 std::optional<fault_config> fault_config_from_env();

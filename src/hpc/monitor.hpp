@@ -86,6 +86,8 @@ struct measurement {
       }
       return false;
     }
+
+    bool operator==(const quality&) const = default;
   };
 
   /// Mean counter value per requested event (the paper's E-bar).
@@ -96,6 +98,8 @@ struct measurement {
   std::size_t predicted = 0;
   /// Trust report (see above); default-constructed = fully trusted.
   quality q;
+
+  bool operator==(const measurement&) const = default;
 };
 
 /// One block of raw per-repetition counter readings, before aggregation.

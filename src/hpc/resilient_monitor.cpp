@@ -12,9 +12,11 @@ namespace advh::hpc {
 
 namespace {
 
-/// 1.4826 * MAD estimates sigma for Gaussian data; the multiplier in the
-/// config is therefore in "robust standard deviations".
+/// 1.4826 * MAD estimates sigma for Gaussian data, so kMadMultiplier is
+/// in "robust standard deviations": repetitions farther than that from
+/// the per-event median are rejected.
 constexpr double kMadToSigma = 1.4826;
+constexpr double kMadMultiplier = 3.5;
 
 struct robust_aggregate {
   double mean = 0.0;
@@ -22,18 +24,17 @@ struct robust_aggregate {
   std::size_t rejected = 0;
 };
 
-robust_aggregate aggregate(const std::vector<double>& values,
-                           double mad_multiplier, bool robust) {
+robust_aggregate aggregate(const std::vector<double>& values) {
   robust_aggregate out;
   std::vector<double> kept;
-  if (robust && mad_multiplier > 0.0 && values.size() >= 4) {
+  if (values.size() >= 4) {
     const double med = stats::median(values);
     std::vector<double> dev;
     dev.reserve(values.size());
     for (double v : values) dev.push_back(std::abs(v - med));
     const double mad = stats::median(dev);
     if (mad > 0.0) {
-      const double cut = mad_multiplier * kMadToSigma * mad;
+      const double cut = kMadMultiplier * kMadToSigma * mad;
       for (double v : values) {
         if (std::abs(v - med) <= cut) kept.push_back(v);
       }
@@ -51,11 +52,11 @@ robust_aggregate aggregate(const std::vector<double>& values,
 
 }  // namespace
 
-resilient_monitor::resilient_monitor(monitor_ptr inner, resilience_config cfg)
-    : inner_(std::move(inner)), cfg_(cfg) {
+resilient_monitor::resilient_monitor(monitor_ptr inner, retry_policy retry)
+    : inner_(std::move(inner)), retry_(retry) {
   ADVH_CHECK(inner_ != nullptr);
-  ADVH_CHECK_MSG(cfg_.retry.max_attempts >= 1 &&
-                     cfg_.retry.max_attempts <= attempt_stride,
+  ADVH_CHECK_MSG(retry_.max_attempts >= 1 &&
+                     retry_.max_attempts <= attempt_stride,
                  "retry.max_attempts must be in [1, attempt_stride]");
   reader_ = dynamic_cast<raw_reader*>(inner_.get());
   if (reader_ == nullptr) {
@@ -132,8 +133,8 @@ measurement resilient_monitor::measure_sample(
   // truncates it — so budgeted measurements stay thread-invariant.
   const std::size_t max_attempts =
       budget.max_retry_rounds == measure_budget::unlimited
-          ? cfg_.retry.max_attempts
-          : std::min(cfg_.retry.max_attempts, budget.max_retry_rounds + 1);
+          ? retry_.max_attempts
+          : std::min(retry_.max_attempts, budget.max_retry_rounds + 1);
   for (std::size_t attempt = 1; attempt < max_attempts; ++attempt) {
     std::size_t needed = 0;
     for (std::size_t e = 0; e < n_events; ++e) {
@@ -144,29 +145,28 @@ measurement resilient_monitor::measure_sample(
     if (budget.cancel != nullptr) {
       // A cancelled token stops retrying outright; otherwise wait out the
       // backoff on the token so a drain can cut the sleep short.
-      const auto delay = budget.allow_backoff ? cfg_.retry.delay(attempt - 1)
+      const auto delay = budget.allow_backoff ? retry_.delay(attempt - 1)
                                               : std::chrono::milliseconds{0};
       if (budget.cancel->wait_for(delay)) break;
     } else if (budget.allow_backoff) {
-      std::this_thread::sleep_for(cfg_.retry.delay(attempt - 1));
+      std::this_thread::sleep_for(retry_.delay(attempt - 1));
     }
     ++out.q.retries;
     absorb(reader_->read_repetitions(x, events, needed,
                                      base_stream + attempt));
   }
 
-  const std::size_t min_reps = std::max<std::size_t>(cfg_.min_repetitions, 1);
   for (std::size_t e = 0; e < n_events; ++e) {
     if (!lost[e]) {
       out.q.failed_repetitions +=
           static_cast<std::uint32_t>(repeats - good[e].size());
     }
-    if (lost[e] || good[e].size() < min_reps) {
+    // An event left with no good repetition is unavailable for the sample.
+    if (lost[e] || good[e].empty()) {
       out.q.available[e] = 0;
       continue;
     }
-    const robust_aggregate agg =
-        aggregate(good[e], cfg_.mad_multiplier, cfg_.robust_aggregation);
+    const robust_aggregate agg = aggregate(good[e]);
     out.mean_counts[e] = agg.mean;
     out.stddev_counts[e] = agg.stddev;
     out.q.outliers_rejected += static_cast<std::uint32_t>(agg.rejected);

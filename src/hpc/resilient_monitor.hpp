@@ -6,7 +6,8 @@
 //     exponential backoff (common/retry) until the R requested
 //     repetitions are filled or the attempt budget runs out;
 //   * robust aggregation — the surviving repetitions are trimmed by
-//     median/MAD outlier rejection before the mean/stddev the detector
+//     median/MAD outlier rejection (3.5 robust standard deviations from
+//     the per-event median) before the mean/stddev the detector
 //     consumes are computed, so co-tenant spikes cannot drag the paper's
 //     E-bar statistic;
 //   * graceful degradation — an event reported permanently lost is
@@ -28,19 +29,6 @@
 
 namespace advh::hpc {
 
-struct resilience_config {
-  /// Per-sample retry budget for refilling failed repetitions.
-  retry_policy retry{};
-  /// Reject repetitions farther than this many (MAD-estimated) standard
-  /// deviations from the per-event median. <= 0 disables rejection.
-  double mad_multiplier = 3.5;
-  /// An event whose surviving repetitions fall below this count is
-  /// reported unavailable for the sample (quality.available = 0).
-  std::size_t min_repetitions = 1;
-  /// Master switch for median/MAD trimming (retries are always on).
-  bool robust_aggregation = true;
-};
-
 class resilient_monitor final : public hpc_monitor {
  public:
   /// Retry attempts are encoded into the inner stream index; the policy's
@@ -48,9 +36,10 @@ class resilient_monitor final : public hpc_monitor {
   static constexpr std::uint64_t attempt_stride = 8;
 
   /// Takes ownership of `inner`, which must implement raw_reader
-  /// (unsupported_error otherwise).
+  /// (unsupported_error otherwise). `retry` is the per-sample budget for
+  /// refilling failed repetitions.
   explicit resilient_monitor(monitor_ptr inner,
-                             resilience_config cfg = resilience_config{});
+                             retry_policy retry = retry_policy{});
 
   std::string backend_name() const override {
     return "resilient(" + inner_->backend_name() + ")";
@@ -63,8 +52,6 @@ class resilient_monitor final : public hpc_monitor {
 
   /// The subset of `requested` not yet observed permanently lost.
   std::vector<hpc_event> surviving(std::span<const hpc_event> requested) const;
-
-  const resilience_config& config() const noexcept { return cfg_; }
 
  protected:
   measurement do_measure(const tensor& x, std::span<const hpc_event> events,
@@ -97,7 +84,7 @@ class resilient_monitor final : public hpc_monitor {
 
   monitor_ptr inner_;
   raw_reader* reader_;  ///< inner_ viewed through its raw_reader facet
-  resilience_config cfg_;
+  retry_policy retry_;
   std::uint64_t next_sample_ = 0;
   /// Permanently-lost events seen so far — reporting only; measurement
   /// content for sample k depends on k alone, never on this set.

@@ -1,12 +1,10 @@
 #include "nn/optimizer.hpp"
 
-#include <cmath>
-
 namespace advh::nn {
 
 sgd::sgd(std::vector<parameter*> params, float lr, float momentum,
          float weight_decay)
-    : optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       momentum_(momentum),
       weight_decay_(weight_decay) {
@@ -23,40 +21,6 @@ void sgd::step() {
       const float grad = g[j] + weight_decay_ * w[j];
       v[j] = momentum_ * v[j] + grad;
       w[j] -= lr_ * v[j];
-    }
-  }
-}
-
-adam::adam(std::vector<parameter*> params, float lr, float beta1, float beta2,
-           float eps)
-    : optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (parameter* p : params_) {
-    m_.emplace_back(p->value.dims());
-    v_.emplace_back(p->value.dims());
-  }
-}
-
-void adam::step() {
-  ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto w = params_[i]->value.data();
-    auto g = params_[i]->grad.data();
-    auto m = m_[i].data();
-    auto v = v_[i].data();
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }

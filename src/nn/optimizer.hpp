@@ -1,4 +1,4 @@
-// First-order optimizers over a parameter set.
+// SGD over a parameter set: the one optimizer the trainer uses.
 #pragma once
 
 #include <vector>
@@ -7,60 +7,28 @@
 
 namespace advh::nn {
 
-class optimizer {
- public:
-  explicit optimizer(std::vector<parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~optimizer() = default;
-
-  optimizer(const optimizer&) = delete;
-  optimizer& operator=(const optimizer&) = delete;
-
-  /// Applies one update using the accumulated gradients.
-  virtual void step() = 0;
-
-  void zero_grad() noexcept {
-    for (parameter* p : params_) p->zero_grad();
-  }
-
- protected:
-  std::vector<parameter*> params_;
-};
-
 /// SGD with classical momentum and decoupled weight decay.
-class sgd final : public optimizer {
+class sgd {
  public:
   sgd(std::vector<parameter*> params, float lr, float momentum = 0.9f,
       float weight_decay = 0.0f);
 
-  void step() override;
+  sgd(const sgd&) = delete;
+  sgd& operator=(const sgd&) = delete;
+
+  /// Applies one update using the accumulated gradients.
+  void step();
+  void zero_grad() noexcept {
+    for (parameter* p : params_) p->zero_grad();
+  }
   void set_lr(float lr) noexcept { lr_ = lr; }
-  float lr() const noexcept { return lr_; }
 
  private:
+  std::vector<parameter*> params_;
   float lr_;
   float momentum_;
   float weight_decay_;
   std::vector<tensor> velocity_;
-};
-
-/// Adam with bias correction.
-class adam final : public optimizer {
- public:
-  adam(std::vector<parameter*> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-
-  void step() override;
-  void set_lr(float lr) noexcept { lr_ = lr; }
-
- private:
-  float lr_;
-  float beta1_;
-  float beta2_;
-  float eps_;
-  std::size_t t_ = 0;
-  std::vector<tensor> m_;
-  std::vector<tensor> v_;
 };
 
 }  // namespace advh::nn

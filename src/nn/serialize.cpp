@@ -1,11 +1,11 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 
 #include "analysis/verifier.hpp"
 #include "common/error.hpp"
+#include "common/fs.hpp"
 
 namespace advh::nn {
 
@@ -14,8 +14,8 @@ constexpr std::uint32_t kMagic = 0x41445648;  // "ADVH"
 constexpr std::uint32_t kVersion = 1;
 
 template <typename T>
-void write_pod(std::ofstream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+void write_pod(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
 template <typename T>
@@ -31,20 +31,19 @@ void save_state(model& m, const std::string& path) {
   std::vector<tensor*> state;
   m.net().collect_state(state);
 
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  std::ofstream os(p, std::ios::binary);
-  ADVH_CHECK_MSG(os.good(), "cannot open " + path + " for writing");
-
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod(os, static_cast<std::uint64_t>(state.size()));
+  std::string bytes;
+  write_pod(bytes, kMagic);
+  write_pod(bytes, kVersion);
+  write_pod(bytes, static_cast<std::uint64_t>(state.size()));
   for (tensor* t : state) {
-    write_pod(os, static_cast<std::uint64_t>(t->numel()));
-    os.write(reinterpret_cast<const char*>(t->data().data()),
-             static_cast<std::streamsize>(t->numel() * sizeof(float)));
+    write_pod(bytes, static_cast<std::uint64_t>(t->numel()));
+    bytes.append(reinterpret_cast<const char*>(t->data().data()),
+                 t->numel() * sizeof(float));
   }
-  ADVH_CHECK_MSG(os.good(), "write failed for " + path);
+  // A save interrupted mid-write must not leave a file with a valid magic
+  // and a truncated payload: is_state_file would accept it and every
+  // later load would throw.
+  atomic_write_file(path, bytes);
 }
 
 void load_state(model& m, const std::string& path, bool verify) {

@@ -13,6 +13,8 @@
 namespace advh::nn {
 
 /// Writes all persistent tensors (weights + batch-norm statistics).
+/// Atomic (common/fs atomic_write_file): a reader sees the complete old
+/// or the complete new file, never a torn one. Throws io_error on failure.
 void save_state(model& m, const std::string& path);
 
 /// Loads state saved by save_state; tensor count and shapes must match.

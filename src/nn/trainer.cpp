@@ -2,9 +2,21 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
 
 namespace advh::nn {
+
+namespace {
+
+// SGD schedule of every scenario model: the learning rate is multiplied
+// by kLrDecay after each epoch.
+constexpr float kLr = 0.05f;
+constexpr float kMomentum = 0.9f;
+constexpr float kWeightDecay = 1e-4f;
+constexpr float kLrDecay = 0.7f;
+
+}  // namespace
 
 tensor gather_batch(const tensor& images,
                     const std::vector<std::size_t>& indices) {
@@ -36,10 +48,10 @@ train_result train_classifier(model& m, const tensor& images,
 
   const std::size_t n = labels.size();
   rng shuffler(cfg.shuffle_seed);
-  sgd opt(m.params(), cfg.lr, cfg.momentum, cfg.weight_decay);
+  sgd opt(m.params(), kLr, kMomentum, kWeightDecay);
 
   train_result result;
-  float lr = cfg.lr;
+  float lr = kLr;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     opt.set_lr(lr);
     auto order = shuffler.permutation(n);
@@ -78,7 +90,7 @@ train_result train_classifier(model& m, const tensor& images,
     result.epoch_loss.push_back(mean_loss);
     result.epoch_accuracy.push_back(acc);
     if (cfg.on_epoch) cfg.on_epoch(epoch, mean_loss, acc);
-    lr *= cfg.lr_decay;
+    lr *= kLrDecay;
   }
   return result;
 }

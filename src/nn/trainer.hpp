@@ -6,18 +6,12 @@
 
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
 
 namespace advh::nn {
 
 struct train_config {
   std::size_t epochs = 5;
   std::size_t batch_size = 32;
-  float lr = 0.05f;
-  float momentum = 0.9f;
-  float weight_decay = 1e-4f;
-  /// lr is multiplied by this factor after each epoch.
-  float lr_decay = 0.7f;
   std::uint64_t shuffle_seed = 1;
   /// Called after each epoch with (epoch, mean train loss, train accuracy).
   std::function<void(std::size_t, double, double)> on_epoch;

@@ -18,21 +18,29 @@
 
 namespace advh::serve {
 
-clock_duration cost_model::cost(std::uint64_t request_id, std::size_t repeats,
-                                std::size_t events) const {
+namespace {
+
+/// Relative jitter amplitude of the simulated cost: it scales by
+/// (1 + kSimCostJitter * u) with u in [-1, 1) drawn from kSimCostSeed's
+/// stream for the request id.
+constexpr double kSimCostJitter = 0.10;
+constexpr std::uint64_t kSimCostSeed = 0x5e7ceULL;
+
+clock_duration simulated_cost(std::uint64_t request_id, std::size_t repeats,
+                              std::size_t events) {
   const std::size_t units = std::max<std::size_t>(repeats * events, 1);
-  double ns = static_cast<double>(fixed.count()) +
-              static_cast<double>(per_unit.count()) *
+  double ns = static_cast<double>(kSimFixedCost.count()) +
+              static_cast<double>(kSimUnitCost.count()) *
                   static_cast<double>(units);
-  if (jitter > 0.0) {
-    // Keyed on the request id alone: the cost of request k never depends
-    // on scheduling order or thread count.
-    const double u = rng::stream(seed, request_id).uniform(-1.0, 1.0);
-    ns *= 1.0 + jitter * u;
-  }
+  // Keyed on the request id alone: the cost of request k never depends
+  // on scheduling order or thread count.
+  const double u = rng::stream(kSimCostSeed, request_id).uniform(-1.0, 1.0);
+  ns *= 1.0 + kSimCostJitter * u;
   return clock_duration{
       static_cast<clock_duration::rep>(std::max(ns, 0.0))};
 }
+
+}  // namespace
 
 serve_config serve_config_from_env(serve_config base) {
   if (const auto depth = env::integer("ADVH_QUEUE_DEPTH", 1, 1000000)) {
@@ -234,7 +242,7 @@ detection_service::detection_service(const core::detector& det,
       vclock_(vclock),
       cfg_(checked_config(std::move(cfg), det)),
       queue_(cfg_.queue_capacity),
-      breaker_(clock_, cfg_.breaker),
+      breaker_(clock_),
       tracker_(cfg_.latency_alpha, cfg_.initial_unit_cost,
                cfg_.initial_fixed_cost),
       interactive_gap_(cfg_.latency_alpha) {
@@ -485,7 +493,7 @@ response detection_service::serve_one(const planned& p,
   // in wall-clock mode the elapsed time was already real.
   clock_duration cost{0};
   if (vclock_ != nullptr) {
-    cost = cfg_.sim_cost.cost(p.req.id, p.repeats, p.events);
+    cost = simulated_cost(p.req.id, p.repeats, p.events);
     vclock_->advance(cost);
   }
   out.completed = clock_.now();

@@ -82,20 +82,11 @@ struct ladder_rung {
   bool shed_events = false;
 };
 
-/// Deterministic simulated service-cost model (virtual-clock mode): one
-/// request costs fixed + per_unit * repeats * events, with a bounded
-/// per-request jitter keyed on the request id.
-struct cost_model {
-  clock_duration fixed = std::chrono::microseconds(200);
-  clock_duration per_unit = std::chrono::microseconds(100);
-  /// Relative jitter amplitude in [0, 1): cost scales by (1 + jitter * u)
-  /// with u in [-1, 1) derived deterministically from the request id.
-  double jitter = 0.10;
-  std::uint64_t seed = 0x5e7ceULL;
-
-  clock_duration cost(std::uint64_t request_id, std::size_t repeats,
-                      std::size_t events) const;
-};
+/// Deterministic simulated service cost (virtual-clock mode): one request
+/// costs kSimFixedCost + kSimUnitCost * repeats * events, scaled by a
+/// bounded jitter derived from the request id alone.
+inline constexpr clock_duration kSimFixedCost = std::chrono::microseconds(200);
+inline constexpr clock_duration kSimUnitCost = std::chrono::microseconds(100);
 
 struct serve_config {
   /// Bound on queued interactive + batch requests (canaries bypass it).
@@ -129,14 +120,11 @@ struct serve_config {
   std::size_t batch_size = 4;
   /// Measurement worker threads per batch (thread-invariant results).
   std::size_t threads = 1;
-  breaker_config breaker{};
   /// Decay factor of the service-time estimator.
   double latency_alpha = 0.2;
   /// Seeds for the estimator before the first completion.
   clock_duration initial_unit_cost = std::chrono::microseconds(100);
   clock_duration initial_fixed_cost = std::chrono::microseconds(200);
-  /// Simulated cost model (virtual-clock mode only).
-  cost_model sim_cost{};
 };
 
 /// Applies the strict environment overrides to `base` and returns it:
@@ -274,9 +262,9 @@ struct serve_stats {
 
 class detection_service {
  public:
-  /// Simulation mode: time only moves when the service charges request
-  /// costs (cfg.sim_cost) or the driver advances the clock. Bitwise
-  /// deterministic at any cfg.threads.
+  /// Simulation mode: time only moves when the service charges simulated
+  /// request costs (kSimFixedCost, kSimUnitCost) or the caller advances
+  /// the clock. Bitwise deterministic at any cfg.threads.
   detection_service(const core::detector& det, hpc::hpc_monitor& monitor,
                     virtual_clock& clock, serve_config cfg);
 

@@ -6,6 +6,13 @@
 
 namespace advh::track {
 
+namespace {
+
+/// Decay factor of the global sketch baseline.
+constexpr double kBaselineAlpha = 0.05;
+
+}  // namespace
+
 query_tracker::query_tracker(const serve::clock_face& clock, track_config cfg)
     : clock_(clock), cfg_(std::move(cfg)), table_(cfg_.table) {
   if (!(cfg_.match_fraction > 0.0) || cfg_.match_fraction > 1.0) {
@@ -120,8 +127,8 @@ bool query_tracker::record_trace(std::uint64_t client,
       const double level = static_cast<double>(s.levels[e]);
       sum += std::abs(level - baseline_levels_[e]);
       ++n;
-      baseline_levels_[e] = (1.0 - cfg_.baseline_alpha) * baseline_levels_[e] +
-                            cfg_.baseline_alpha * level;
+      baseline_levels_[e] = (1.0 - kBaselineAlpha) * baseline_levels_[e] +
+                            kBaselineAlpha * level;
     }
     baseline_dev = n == 0 ? 0.0 : sum / static_cast<double>(n);
   }

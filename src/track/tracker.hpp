@@ -68,8 +68,6 @@ struct track_config {
   /// Match credit one corroborating trace adds (kept below 1 so traces
   /// accelerate escalation but can never ban on their own).
   double trace_hit_weight = 0.5;
-  /// Decay factor of the global sketch baseline.
-  double baseline_alpha = 0.05;
 };
 
 /// Outcome of one observed query.

@@ -36,8 +36,7 @@ struct accumulator {
 static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
                                        const trace_gen_config& cfg) {
   accumulator a;
-  const std::size_t bpod = std::max<std::uint64_t>(cfg.branch_per_out_div, 1);
-  const std::size_t code_lines_per_sweep = cfg.code_bytes_per_layer / kLine;
+  const std::size_t code_lines_per_sweep = kCodeBytesPerLayer / kLine;
   bool write_to_second = true;  // mirrors trace_generator ping-pong state
 
   for (const nn::layer_trace_entry& e : trace.layers) {
@@ -74,12 +73,12 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.act_lines[out_region] =
             std::max(a.act_lines[out_region], epilogue);
 
-        const std::uint64_t insn_fixed = cfg.insn_per_in * e.in_numel +
+        const std::uint64_t insn_fixed = kInsnPerIn * e.in_numel +
                                          cfg.insn_per_out * e.out_numel +
-                                         cfg.insn_per_layer;
+                                         kInsnPerLayer;
         a.insn_lo += insn_fixed;
-        a.insn_hi += insn_fixed + cfg.insn_per_active * alpha_hi;
-        a.branches += (e.in_numel + e.out_numel) / bpod + 64;
+        a.insn_hi += insn_fixed + kInsnPerActive * alpha_hi;
+        a.branches += (e.in_numel + e.out_numel) / kBranchPerOutDiv + 64;
 
         const std::size_t sweeps =
             1 + e.out_numel / std::max<std::size_t>(cfg.code_sweep_interval, 1);
@@ -99,9 +98,9 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.act_lines[in_region] = std::max(
             a.act_lines[in_region], std::max(in_lines, out_lines));
 
-        a.insn_lo += 3 * e.in_numel + cfg.insn_per_layer / 4;
-        a.insn_hi += 3 * e.in_numel + cfg.insn_per_layer / 4;
-        a.branches += e.in_numel / bpod + 16;
+        a.insn_lo += 3 * e.in_numel + kInsnPerLayer / 4;
+        a.insn_hi += 3 * e.in_numel + kInsnPerLayer / 4;
+        a.branches += e.in_numel / kBranchPerOutDiv + 16;
         a.fetches += code_lines_per_sweep;
         a.code_lines += code_lines_per_sweep;
         break;  // in place: no buffer flip
@@ -118,10 +117,10 @@ static_envelope analyze_abstract_trace(const nn::inference_trace& trace,
         a.act_lines[out_region] = std::max(a.act_lines[out_region], out_lines);
 
         const std::uint64_t insn =
-            4 * e.in_numel + 2 * e.out_numel + cfg.insn_per_layer / 4;
+            4 * e.in_numel + 2 * e.out_numel + kInsnPerLayer / 4;
         a.insn_lo += insn;
         a.insn_hi += insn;
-        a.branches += (e.in_numel + e.out_numel) / bpod + 16;
+        a.branches += (e.in_numel + e.out_numel) / kBranchPerOutDiv + 16;
         a.fetches += code_lines_per_sweep;
         a.code_lines += code_lines_per_sweep;
         write_to_second = !write_to_second;

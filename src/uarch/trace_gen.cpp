@@ -18,7 +18,7 @@ constexpr std::uint64_t kLine = 64;
 trace_generator::trace_generator(const trace_gen_config& cfg)
     : cfg_(cfg),
       mem_(cfg.caches),
-      bp_(cfg.predictor_bits),
+      bp_(kPredictorBits),
       next_weight_base_(kWeightRegion) {}
 
 std::uint64_t trace_generator::weight_base(std::size_t layer_idx) const {
@@ -28,7 +28,7 @@ std::uint64_t trace_generator::weight_base(std::size_t layer_idx) const {
 
 std::uint64_t trace_generator::code_base(std::size_t layer_idx) const {
   return kCodeRegion +
-         static_cast<std::uint64_t>(layer_idx) * cfg_.code_bytes_per_layer;
+         static_cast<std::uint64_t>(layer_idx) * kCodeBytesPerLayer;
 }
 
 void trace_generator::sweep(std::uint64_t base, std::size_t bytes,
@@ -41,7 +41,7 @@ void trace_generator::sweep(std::uint64_t base, std::size_t bytes,
 
 void trace_generator::code_sweep(std::size_t layer_idx, std::size_t sweeps) {
   mem_.fetch_sweeps(code_base(layer_idx), kLine,
-                    cfg_.code_bytes_per_layer / kLine, sweeps);
+                    kCodeBytesPerLayer / kLine, sweeps);
 }
 
 void trace_generator::loop_branches(std::size_t layer_idx,
@@ -73,7 +73,7 @@ void trace_generator::replay_parametric(const nn::layer_trace_entry& e,
   // footprint): each input channel owns a contiguous panel of it.
   const std::size_t in_channels = std::max<std::size_t>(e.in_channels, 1);
   const std::size_t panel_bytes = std::max<std::size_t>(
-      (w_bytes * cfg_.unfold_factor / in_channels + kLine - 1) / kLine * kLine,
+      (w_bytes * kUnfoldFactor / in_channels + kLine - 1) / kLine * kLine,
       kLine);
   const std::size_t panel_lines = panel_bytes / kLine;
   const std::size_t out_plane_bytes = out_spatial * sizeof(float);
@@ -155,10 +155,10 @@ void trace_generator::replay_parametric(const nn::layer_trace_entry& e,
 
   // Instruction-side activity: dominated by the dense loop structure
   // (shape-dependent, input-independent), with a small gather term.
-  instructions_ += cfg_.insn_per_in * e.in_numel +
-                   cfg_.insn_per_active * e.active_inputs.size() +
-                   cfg_.insn_per_out * e.out_numel + cfg_.insn_per_layer;
-  extra_branches_ += (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 64;
+  instructions_ += kInsnPerIn * e.in_numel +
+                   kInsnPerActive * e.active_inputs.size() +
+                   cfg_.insn_per_out * e.out_numel + kInsnPerLayer;
+  extra_branches_ += (e.in_numel + e.out_numel) / kBranchPerOutDiv + 64;
   loop_branches(layer_idx, e.in_numel);
   code_sweep(layer_idx, 1 + e.out_numel / std::max<std::size_t>(
                                 cfg_.code_sweep_interval, 1));
@@ -175,8 +175,8 @@ void trace_generator::replay_activation(const nn::layer_trace_entry& e,
   sweep(in_base, e.in_numel * sizeof(float), access_type::load);
   sweep(in_base, e.out_numel * sizeof(float), access_type::store);
 
-  instructions_ += 3 * e.in_numel + cfg_.insn_per_layer / 4;
-  extra_branches_ += e.in_numel / cfg_.branch_per_out_div + 16;
+  instructions_ += 3 * e.in_numel + kInsnPerLayer / 4;
+  extra_branches_ += e.in_numel / kBranchPerOutDiv + 16;
   loop_branches(layer_idx, e.in_numel);
   code_sweep(layer_idx, 1);
   // In-place: no buffer flip.
@@ -190,8 +190,8 @@ void trace_generator::replay_structural(const nn::layer_trace_entry& e,
   sweep(in_base, e.in_numel * sizeof(float), access_type::load);
   sweep(out_base, e.out_numel * sizeof(float), access_type::store);
 
-  instructions_ += 4 * e.in_numel + 2 * e.out_numel + cfg_.insn_per_layer / 4;
-  extra_branches_ += (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 16;
+  instructions_ += 4 * e.in_numel + 2 * e.out_numel + kInsnPerLayer / 4;
+  extra_branches_ += (e.in_numel + e.out_numel) / kBranchPerOutDiv + 16;
   loop_branches(layer_idx, e.in_numel);
   code_sweep(layer_idx, 1);
   write_to_second_ = !write_to_second_;
@@ -212,7 +212,7 @@ uarch_counts trace_generator::run(const nn::inference_trace& trace) {
   for (const auto& e : trace.layers) {
     weight_bases_.push_back(next_weight_base_);
     const std::size_t span =
-        std::max<std::size_t>(e.weight_bytes, 1) * cfg_.unfold_factor;
+        std::max<std::size_t>(e.weight_bytes, 1) * kUnfoldFactor;
     next_weight_base_ += ((span + kLine - 1) / kLine) * kLine;
   }
 

@@ -36,9 +36,26 @@ struct uarch_counts {
   std::uint64_t llc_store_misses = 0;
 };
 
+// Fixed parameters of the modelled inference runtime.
+/// gshare history/table bits.
+inline constexpr std::size_t kPredictorBits = 12;
+/// Unfolded working-set multiplier over raw weight bytes (im2col expands
+/// a 3x3 conv's effective footprint by ~K^2; we use a bounded factor).
+inline constexpr std::size_t kUnfoldFactor = 6;
+/// Modelled code footprint per layer.
+inline constexpr std::size_t kCodeBytesPerLayer = 2048;
+
+// Instruction cost model (instructions retired per unit of work).
+// kInsnPerActive is 0: masked-SIMD gathers retire the same instruction
+// count whatever the mask — only the memory side varies.
+inline constexpr std::uint64_t kInsnPerActive = 0;
+inline constexpr std::uint64_t kInsnPerIn = 6;
+inline constexpr std::uint64_t kInsnPerLayer = 1800;
+/// One scalar branch per this many elements (vectorised inner loops).
+inline constexpr std::uint64_t kBranchPerOutDiv = 8;
+
 struct trace_gen_config {
   hierarchy_config caches{};
-  std::size_t predictor_bits = 12;
 
   /// Unfolded-weight lines gathered per active input element.
   std::size_t panel_lines = 1;
@@ -46,23 +63,11 @@ struct trace_gen_config {
   std::size_t accum_fanout = 1;
   /// Spatial elements sharing one gather key (vector width of the runtime).
   std::size_t spatial_block = 4;
-  /// Unfolded working-set multiplier over raw weight bytes (im2col expands
-  /// a 3x3 conv's effective footprint by ~K^2; we use a bounded factor).
-  std::size_t unfold_factor = 6;
-  /// Modelled code footprint per layer.
-  std::size_t code_bytes_per_layer = 2048;
   /// One code sweep per this many output elements (loop body refetch).
   std::size_t code_sweep_interval = 64;
 
-  // Instruction cost model (instructions retired per unit of work).
-  // insn_per_active defaults to 0: masked-SIMD gathers retire the same
-  // instruction count whatever the mask — only the memory side varies.
-  std::uint64_t insn_per_active = 0;
+  /// Instructions retired per output element.
   std::uint64_t insn_per_out = 40;
-  std::uint64_t insn_per_in = 6;
-  std::uint64_t insn_per_layer = 1800;
-  /// One scalar branch per this many elements (vectorised inner loops).
-  std::uint64_t branch_per_out_div = 8;
 };
 
 class trace_generator {

@@ -317,22 +317,6 @@ TEST(analysis, batchnorm_hyperparameter_contracts) {
   EXPECT_EQ(mom->layer_index, 1u);
 }
 
-TEST(analysis, pass_toggles_limit_scope) {
-  rng gen(1);
-  auto net = small_net(gen);
-  static_cast<nn::linear&>(net->at(4)).weight().value.fill(0.0f);
-  net->emplace<nn::relu>("oops");
-  auto m = wrap(std::move(net), shape{3, 8, 8}, 4);
-
-  analysis::verify_options only_params;
-  only_params.check_shapes = false;
-  only_params.check_trace = false;
-  only_params.check_structure = false;
-  const auto report = analysis::verify_model(*m, only_params);
-  EXPECT_NE(find_diag(report, diag_code::uninitialized_param), nullptr);
-  EXPECT_EQ(find_diag(report, diag_code::trailing_activation), nullptr);
-}
-
 TEST(analysis, ensure_verified_throws_with_report) {
   rng gen(1);
   auto net = small_net(gen);

@@ -186,7 +186,7 @@ TEST(check_corpus, envelope_infeasible_lints_clean_but_fails_envelope) {
   EXPECT_TRUE(rep.findings.empty()) << rep.to_text();
 
   auto m = make_test_model();
-  analysis::check_envelope(*m, ckpt->det, analysis::envelope_options{}, rep);
+  analysis::check_envelope(*m, ckpt->det, uarch::trace_gen_config{}, rep);
   EXPECT_TRUE(rep.has_code(301)) << rep.to_text();
   EXPECT_TRUE(rep.has_errors());
 }
@@ -297,7 +297,7 @@ TEST(check_envelope, honest_fit_is_inside_the_envelope) {
   const core::detector det = fit_test_detector(monitor, test_detector_config());
 
   analysis::check_report rep;
-  analysis::check_envelope(*m, det, analysis::envelope_options{}, rep);
+  analysis::check_envelope(*m, det, uarch::trace_gen_config{}, rep);
   EXPECT_TRUE(rep.findings.empty()) << rep.to_text();
 }
 
@@ -311,10 +311,10 @@ TEST(check_envelope, mismatched_cost_model_is_flagged) {
   hpc::sim_backend monitor(*m);
   const core::detector det = fit_test_detector(monitor, test_detector_config());
 
-  analysis::envelope_options opts;
-  opts.cost_model.insn_per_out *= 10;
+  uarch::trace_gen_config cost_model;
+  cost_model.insn_per_out *= 10;
   analysis::check_report rep;
-  analysis::check_envelope(*m, det, opts, rep);
+  analysis::check_envelope(*m, det, cost_model, rep);
   EXPECT_TRUE(rep.has_code(301)) << rep.to_text();
   EXPECT_TRUE(rep.has_errors());
 }

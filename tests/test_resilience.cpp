@@ -94,12 +94,11 @@ std::vector<tensor> test_batch(std::size_t n) {
 /// sim -> fault -> resilient stack over a shared model; `fault_out`
 /// receives a borrowed pointer to the fault layer when non-null.
 monitor_ptr make_stack(nn::model& m, const fault_config& fc,
-                       const resilience_config& rc = resilience_config{},
                        fault_backend** fault_out = nullptr) {
   auto sim = std::make_unique<sim_backend>(m);
   auto faulty = std::make_unique<fault_backend>(std::move(sim), fc);
   if (fault_out != nullptr) *fault_out = faulty.get();
-  return std::make_unique<resilient_monitor>(std::move(faulty), rc);
+  return std::make_unique<resilient_monitor>(std::move(faulty));
 }
 
 fault_config transient_faults(double rate, std::uint64_t seed = 13) {
@@ -276,10 +275,10 @@ TEST(ResilientMonitor, FaultStormBitwiseIdenticalAcrossThreadCounts) {
 
 TEST(ResilientMonitor, RetryBudgetValidatedAgainstStride) {
   auto model = make_test_model();
-  resilience_config rc;
-  rc.retry.max_attempts = resilient_monitor::attempt_stride + 1;
+  retry_policy rp;
+  rp.max_attempts = resilient_monitor::attempt_stride + 1;
   EXPECT_THROW(
-      resilient_monitor(std::make_unique<sim_backend>(*model), rc),
+      resilient_monitor(std::make_unique<sim_backend>(*model), rp),
       invariant_error);
 }
 

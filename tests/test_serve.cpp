@@ -449,12 +449,12 @@ TEST(MeasureBudget, ZeroRoundsSkipsRetries) {
   hpc::fault_config fc;
   fc.read_failure_rate = 0.4;
   fc.seed = 21;
-  hpc::resilience_config rc;
-  rc.retry.base_delay = milliseconds(0);
+  retry_policy rp;
+  rp.base_delay = milliseconds(0);
   hpc::resilient_monitor monitor(
       std::make_unique<hpc::fault_backend>(
           std::make_unique<hpc::sim_backend>(*model), fc),
-      rc);
+      rp);
   const auto events = hpc::core_events();
   const tensor x = test_input();
 
@@ -484,12 +484,12 @@ TEST(MeasureBudget, BudgetedBatchIsThreadInvariant) {
     hpc::fault_config fc;
     fc.read_failure_rate = 0.3;
     fc.seed = 77;
-    hpc::resilience_config rc;
-    rc.retry.base_delay = milliseconds(0);
+    retry_policy rp;
+    rp.base_delay = milliseconds(0);
     hpc::resilient_monitor monitor(
         std::make_unique<hpc::fault_backend>(
             std::make_unique<hpc::sim_backend>(*model), fc),
-        rc);
+        rp);
     return monitor.measure_batch(inputs, events, 10, threads, budget);
   };
   const auto serial = run(1);
@@ -509,12 +509,12 @@ TEST(MeasureBudget, CancelledTokenStopsRetries) {
   hpc::fault_config fc;
   fc.read_failure_rate = 0.4;
   fc.seed = 21;
-  hpc::resilience_config rc;
-  rc.retry.base_delay = milliseconds(0);
+  retry_policy rp;
+  rp.base_delay = milliseconds(0);
   hpc::resilient_monitor monitor(
       std::make_unique<hpc::fault_backend>(
           std::make_unique<hpc::sim_backend>(*model), fc),
-      rc);
+      rp);
   cancel_token token;
   token.cancel();
   hpc::measure_budget budget;
@@ -747,21 +747,22 @@ TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
   core::detector det = fit_test_detector(sim, dcfg);
   switchable_monitor monitor(sim);
   virtual_clock clock;
+  // The service runs the default breaker: one batch of failure_threshold
+  // dead reads trips it, and it probes again after the cooldown.
+  const breaker_config bcfg{};
+  ASSERT_EQ(bcfg.half_open_probes, 2u);
   serve_config cfg;
   cfg.queue_capacity = 16;
-  cfg.batch_size = 4;
-  cfg.breaker.failure_threshold = 4;
-  cfg.breaker.cooldown = milliseconds(50);
-  cfg.breaker.half_open_probes = 2;
+  cfg.batch_size = bcfg.failure_threshold;
   detection_service service(det, monitor, clock, cfg);
 
   monitor.set_dead(true);
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < bcfg.failure_threshold; ++i) {
     ASSERT_TRUE(service.submit(test_input(), priority::batch, no_deadline)
                     .admitted());
   }
   const auto failed = service.service_batch();
-  ASSERT_EQ(failed.size(), 4u);
+  ASSERT_EQ(failed.size(), bcfg.failure_threshold);
   for (const auto& r : failed) {
     EXPECT_EQ(r.outcome, response::kind::failed_backend);
   }
@@ -772,7 +773,7 @@ TEST(DetectionService, DeadBackendTripsBreakerAndRecovers) {
   // After the cooldown the breaker admits a bounded probe set; a healed
   // backend closes it again and traffic flows.
   monitor.set_dead(false);
-  clock.advance(milliseconds(50));
+  clock.advance(bcfg.cooldown);
   ASSERT_TRUE(service.submit(test_input(), priority::batch, no_deadline)
                   .admitted());
   ASSERT_TRUE(service.submit(test_input(), priority::batch, no_deadline)

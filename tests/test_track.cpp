@@ -2,8 +2,8 @@
 // min-hash windows), HPC trace sketches, the sharded memory-bounded
 // fingerprint table (byte budget, eviction fairness under adversarial
 // load), the escalation ladder (elevate -> ban, decay, chaos-stable
-// bans), the drift-canary cross-check on trace corroboration, the
-// client-tagged evaluation loop, and the strict-validation sweep over
+// bans), the drift-canary cross-check on trace corroboration, a tracked
+// detection service replay, and the strict-validation sweep over
 // every ADVH_* environment knob.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include "bench/bench_common.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/pipeline.hpp"
+#include "core/detector.hpp"
 #include "fleet/config.hpp"
 #include "hpc/factory.hpp"
 #include "hpc/sim_backend.hpp"
@@ -412,9 +412,9 @@ TEST(TrackConfig, ValidatesThresholds) {
   EXPECT_THROW(query_tracker(clock, cfg), std::invalid_argument);
 }
 
-// -------------------------------------------- client-tagged evaluation --
+// ------------------------------------------ tracked detection service --
 
-TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
+TEST(TrackedService, CampaignIsCutOffCleanClientsUntouched) {
   auto model = nn::make_model(nn::architecture::case_study_cnn,
                               shape{1, 16, 16}, 4, 1);
   hpc::sim_backend monitor(*model);
@@ -431,38 +431,82 @@ TEST(EvaluateTagged, CampaignIsCutOffCleanClientsUntouched) {
   }
   const core::detector det = core::detector::fit(tpl, dcfg, 1);
 
-  serve::virtual_clock clock;
-  query_tracker tracker(clock, fast_track_config());
-
-  std::vector<core::tagged_query> queries;
+  // Client 1 replays one probe with sub-step perturbations (a campaign),
+  // client 2 sends fresh queries, client 0 is anonymous (never tracked).
+  struct query {
+    std::uint64_t client;
+    tensor input;
+  };
+  std::vector<query> queries;
   for (int round = 0; round < 12; ++round) {
-    queries.push_back({1, test_input(3, 0.001 * round), true});  // campaign
-    queries.push_back({2, test_input(std::uint64_t(100 + round)), false});
-    queries.push_back({0, test_input(std::uint64_t(200 + round)), false});
+    queries.push_back({1, test_input(3, 0.001 * round)});
+    queries.push_back({2, test_input(std::uint64_t(100 + round))});
+    queries.push_back({0, test_input(std::uint64_t(200 + round))});
   }
-  // Fresh monitor so both the 1- and 4-thread runs below start from the
-  // same backend state (template fitting above advanced `monitor`).
-  hpc::sim_backend monitor1(*model);
-  const auto r = core::evaluate_tagged(det, monitor1, tracker, queries);
 
-  EXPECT_EQ(tracker.level(1), escalation::banned);
-  EXPECT_EQ(tracker.level(2), escalation::none);
-  EXPECT_GT(r.banned_skipped, 0u);  // the campaign's tail never measured
-  EXPECT_GT(r.escalated, 0u);       // ...after full-fidelity scrutiny
-  // Everything that was measured got scored: totals add up.
-  EXPECT_EQ(r.eval.fused.total() + r.banned_skipped, queries.size());
+  struct replay {
+    std::vector<serve::admit_status> admissions;
+    std::vector<serve::response::kind> outcomes;
+    std::vector<core::verdict> verdicts;
+    std::vector<bool> escalated;
+    serve::serve_stats stats;
+    escalation campaign = escalation::none;
+    escalation benign = escalation::none;
+  };
+  const auto run = [&](std::size_t threads) {
+    serve::virtual_clock clock;
+    query_tracker tracker(clock, fast_track_config());
+    // Fresh monitor so every run starts from the same backend state
+    // (template fitting above advanced `monitor`).
+    hpc::sim_backend fresh(*model);
+    serve::serve_config cfg;
+    cfg.queue_capacity = queries.size();
+    cfg.batch_size = 3;
+    cfg.threads = threads;
+    serve::detection_service service(det, fresh, clock, cfg);
+    service.attach_tracker(tracker);
 
-  // Thread-invariance of the whole tagged loop.
-  serve::virtual_clock clock2;
-  query_tracker tracker2(clock2, fast_track_config());
-  hpc::sim_backend monitor2(*model);
-  const auto r4 = core::evaluate_tagged(det, monitor2, tracker2, queries, 4);
-  EXPECT_EQ(r4.banned_skipped, r.banned_skipped);
+    replay r;
+    const auto collect = [&](const std::vector<serve::response>& batch) {
+      for (const auto& resp : batch) {
+        r.outcomes.push_back(resp.outcome);
+        r.verdicts.push_back(resp.v);
+        r.escalated.push_back(resp.escalated);
+      }
+    };
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      r.admissions.push_back(service
+                                 .submit(queries[i].input,
+                                         serve::priority::interactive,
+                                         serve::no_deadline, queries[i].client)
+                                 .status);
+      if (i % 3 == 2) collect(service.service_batch());
+    }
+    collect(service.flush());
+    r.stats = service.stats();
+    r.campaign = tracker.level(1);
+    r.benign = tracker.level(2);
+    return r;
+  };
+
+  const replay r = run(1);
+  EXPECT_EQ(r.campaign, escalation::banned);
+  EXPECT_EQ(r.benign, escalation::none);
+  // The campaign's tail is never measured, after full-fidelity scrutiny.
+  EXPECT_GT(r.stats.rejected_banned, 0u);
+  EXPECT_GT(r.stats.escalated_admitted, 0u);
+  // Everything not banned was measured and scored: totals add up.
+  EXPECT_EQ(r.stats.served + r.stats.rejected_banned, queries.size());
+
+  // Thread-invariance of the whole tracked replay.
+  const replay r4 = run(4);
+  EXPECT_EQ(r4.admissions, r.admissions);
+  EXPECT_EQ(r4.outcomes, r.outcomes);
+  EXPECT_EQ(r4.verdicts, r.verdicts);
   EXPECT_EQ(r4.escalated, r.escalated);
-  EXPECT_EQ(r4.eval.fused.true_positives(), r.eval.fused.true_positives());
-  EXPECT_EQ(r4.eval.fused.false_positives(), r.eval.fused.false_positives());
-  EXPECT_EQ(r4.eval.fused.true_negatives(), r.eval.fused.true_negatives());
-  EXPECT_EQ(r4.eval.fused.false_negatives(), r.eval.fused.false_negatives());
+  EXPECT_EQ(r4.stats.rejected_banned, r.stats.rejected_banned);
+  EXPECT_EQ(r4.stats.escalated_admitted, r.stats.escalated_admitted);
+  EXPECT_EQ(r4.stats.flagged_adversarial, r.stats.flagged_adversarial);
 }
 
 // ------------------------------------------------------- env knob sweep --

@@ -224,7 +224,7 @@ class trace_generator {
   explicit trace_generator(const trace_gen_config& cfg = {})
       : cfg_(cfg),
         mem_(cfg.caches),
-        bp_(cfg.predictor_bits),
+        bp_(kPredictorBits),
         next_weight_base_(kWeightRegion) {}
 
   uarch_counts run(const nn::inference_trace& trace) {
@@ -239,7 +239,7 @@ class trace_generator {
     for (const auto& e : trace.layers) {
       weight_bases_.push_back(next_weight_base_);
       const std::size_t span =
-          std::max<std::size_t>(e.weight_bytes, 1) * cfg_.unfold_factor;
+          std::max<std::size_t>(e.weight_bytes, 1) * kUnfoldFactor;
       next_weight_base_ += ((span + kLine - 1) / kLine) * kLine;
     }
 
@@ -290,7 +290,7 @@ class trace_generator {
 
   std::uint64_t code_base(std::size_t layer_idx) const {
     return kCodeRegion +
-           static_cast<std::uint64_t>(layer_idx) * cfg_.code_bytes_per_layer;
+           static_cast<std::uint64_t>(layer_idx) * kCodeBytesPerLayer;
   }
 
   void sweep(std::uint64_t base, std::size_t bytes, access_type type) {
@@ -302,7 +302,7 @@ class trace_generator {
 
   void code_sweep(std::size_t layer_idx) {
     const std::uint64_t base = code_base(layer_idx);
-    const std::size_t lines = cfg_.code_bytes_per_layer / kLine;
+    const std::size_t lines = kCodeBytesPerLayer / kLine;
     for (std::size_t l = 0; l < lines; ++l) mem_.fetch(base + l * kLine);
   }
 
@@ -330,7 +330,7 @@ class trace_generator {
 
     const std::size_t in_channels = std::max<std::size_t>(e.in_channels, 1);
     const std::size_t panel_bytes = std::max<std::size_t>(
-        (w_bytes * cfg_.unfold_factor / in_channels + kLine - 1) / kLine *
+        (w_bytes * kUnfoldFactor / in_channels + kLine - 1) / kLine *
             kLine,
         kLine);
     const std::size_t panel_lines = panel_bytes / kLine;
@@ -368,11 +368,11 @@ class trace_generator {
     sweep(out_base, out_bytes, access_type::store);
 
     const std::size_t n_active = e.active_inputs.size();
-    instructions_ += cfg_.insn_per_in * e.in_numel +
-                     cfg_.insn_per_active * n_active +
-                     cfg_.insn_per_out * e.out_numel + cfg_.insn_per_layer;
+    instructions_ += kInsnPerIn * e.in_numel +
+                     kInsnPerActive * n_active +
+                     cfg_.insn_per_out * e.out_numel + kInsnPerLayer;
     extra_branches_ +=
-        (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 64;
+        (e.in_numel + e.out_numel) / kBranchPerOutDiv + 64;
     loop_branches(layer_idx, e.in_numel);
     const std::size_t sweeps =
         1 + e.out_numel / std::max<std::size_t>(cfg_.code_sweep_interval, 1);
@@ -387,8 +387,8 @@ class trace_generator {
     sweep(in_base, e.in_numel * sizeof(float), access_type::load);
     sweep(in_base, e.out_numel * sizeof(float), access_type::store);
 
-    instructions_ += 3 * e.in_numel + cfg_.insn_per_layer / 4;
-    extra_branches_ += e.in_numel / cfg_.branch_per_out_div + 16;
+    instructions_ += 3 * e.in_numel + kInsnPerLayer / 4;
+    extra_branches_ += e.in_numel / kBranchPerOutDiv + 16;
     loop_branches(layer_idx, e.in_numel);
     code_sweep(layer_idx);
   }
@@ -402,9 +402,9 @@ class trace_generator {
     sweep(in_base, e.in_numel * sizeof(float), access_type::load);
     sweep(out_base, e.out_numel * sizeof(float), access_type::store);
 
-    instructions_ += 4 * e.in_numel + 2 * e.out_numel + cfg_.insn_per_layer / 4;
+    instructions_ += 4 * e.in_numel + 2 * e.out_numel + kInsnPerLayer / 4;
     extra_branches_ +=
-        (e.in_numel + e.out_numel) / cfg_.branch_per_out_div + 16;
+        (e.in_numel + e.out_numel) / kBranchPerOutDiv + 16;
     loop_branches(layer_idx, e.in_numel);
     code_sweep(layer_idx);
     write_to_second_ = !write_to_second_;

@@ -175,7 +175,7 @@ void check_detector_target(const std::string& target, const cli_options& opt,
     rep.add(analysis::severity::error, 2, "--model", err);
     return;
   }
-  analysis::check_envelope(*m, ckpt->det, analysis::envelope_options{}, rep);
+  analysis::check_envelope(*m, ckpt->det, uarch::trace_gen_config{}, rep);
 }
 
 /// Serve-config pass: parse, then verify the degradation ladder against
