@@ -95,6 +95,18 @@ void BM_GmmFitBic(benchmark::State& state) {
 }
 BENCHMARK(BM_GmmFitBic);
 
+// Calibrate's shape: 50 points from one Gaussian, where the k = 2..4 EM
+// chains run long and lose the BIC to k = 1.
+void BM_GmmFitBicUnimodal50(benchmark::State& state) {
+  rng gen(5);
+  std::vector<double> data;
+  for (int i = 0; i < 50; ++i) data.push_back(gen.normal(2000.0, 12.0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gmm::gmm1d::fit_best_bic(data, 4));
+  }
+}
+BENCHMARK(BM_GmmFitBicUnimodal50);
+
 void BM_DetectorScore(benchmark::State& state) {
   core::benign_template tpl(10, 5);
   rng gen(6);

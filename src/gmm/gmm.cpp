@@ -1,7 +1,9 @@
 #include "gmm/gmm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
@@ -29,15 +31,126 @@ double log_sum_exp(std::span<const double> v) {
   return mx + std::log(acc);
 }
 
+/// log(w) + log N(x; mean, variance) from the hoisted lw = log(w) and
+/// la = kLog2Pi + log(variance). It is the same left-to-right sum that
+/// log(w) + log_normal_pdf(x, mean, variance) evaluates, so the bits match.
+/// The division stays: multiplying by a hoisted 1/variance changes bits.
+double component_log_pdf(double x, double lw, double la, double mean,
+                         double variance) {
+  const double d = x - mean;
+  return lw + -0.5 * (la + d * d / variance);
+}
+
+/// log(sum_c exp(term(c))) over c < k, bit for bit as log_sum_exp
+/// evaluates it over the same values, except that the argmax term is added
+/// as the exact exp(0.0) == 1.0 without a call. term(c) is called up to
+/// twice per c and must return the same value each time.
+template <typename Term>
+double log_sum_exp_of(std::size_t k, const Term& term) {
+  double mx = -std::numeric_limits<double>::infinity();
+  std::size_t top = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const double t = term(c);
+    if (mx < t) {
+      mx = t;
+      top = c;
+    }
+  }
+  if (!std::isfinite(mx)) return mx;
+  double acc = 0.0;
+  for (std::size_t c = 0; c < k; ++c) {
+    acc += c == top ? 1.0 : std::exp(term(c) - mx);
+  }
+  return mx + std::log(acc);
+}
+
+/// Scratch one fit() shares across its restarts.
+struct em_scratch {
+  std::vector<double> resp;  ///< n x k responsibilities, row-major
+  std::vector<double> logp;  ///< k per-point component log-densities
+  std::vector<double> lw;    ///< k hoisted log(weight)
+  std::vector<double> la;    ///< k hoisted kLog2Pi + log(variance)
+};
+
+/// EM iterations (Algorithm 1) from the start in `comps`, which holds the
+/// fitted components on return; returns the last log-likelihood. K > 0
+/// fixes the order at compile time so the per-point loops unroll; K == 0
+/// takes it from comps.size().
+template <std::size_t K>
+double run_em(std::span<const double> data, const em_config& cfg,
+              double floor, std::vector<component1d>& comps,
+              em_scratch& s) {
+  const std::size_t k = K != 0 ? K : comps.size();
+  const std::size_t n = data.size();
+  std::array<double, K != 0 ? K : 1> local_logp{};
+  double* logp = K != 0 ? local_logp.data() : s.logp.data();
+  double* resp = s.resp.data();
+  double* lw = s.lw.data();
+  double* la = s.la.data();
+
+  double prev_ll = -std::numeric_limits<double>::infinity();
+  for (std::size_t iter = 0; iter < cfg.max_iter; ++iter) {
+    for (std::size_t c = 0; c < k; ++c) {
+      lw[c] = std::log(comps[c].weight);
+      la[c] = kLog2Pi + std::log(comps[c].variance);
+    }
+
+    // E-step: responsibilities gamma_ik.
+    double ll = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        logp[c] = component_log_pdf(data[i], lw[c], la[c], comps[c].mean,
+                                    comps[c].variance);
+      }
+      const double lse =
+          log_sum_exp_of(k, [logp](std::size_t c) { return logp[c]; });
+      ll += lse;
+      for (std::size_t c = 0; c < k; ++c) {
+        resp[i * k + c] = std::exp(logp[c] - lse);
+      }
+    }
+
+    // M-step.
+    for (std::size_t c = 0; c < k; ++c) {
+      double nk = 0.0, mu = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        nk += resp[i * k + c];
+        mu += resp[i * k + c] * data[i];
+      }
+      nk = std::max(nk, 1e-10);
+      mu /= nk;
+      double var = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d = data[i] - mu;
+        var += resp[i * k + c] * d * d;
+      }
+      comps[c].weight = nk / static_cast<double>(n);
+      comps[c].mean = mu;
+      comps[c].variance = std::max(var / nk, floor);
+    }
+
+    if (std::isfinite(prev_ll) &&
+        std::fabs(ll - prev_ll) <= cfg.tolerance * (std::fabs(prev_ll) + 1.0)) {
+      prev_ll = ll;
+      break;
+    }
+    prev_ll = ll;
+  }
+  return prev_ll;
+}
+
 }  // namespace
 
 gmm1d::gmm1d(std::vector<component1d> components)
     : components_(std::move(components)) {
   ADVH_CHECK(!components_.empty());
   double total = 0.0;
+  terms_.reserve(components_.size());
   for (const auto& c : components_) {
     ADVH_CHECK(c.weight >= 0.0 && c.variance > 0.0);
     total += c.weight;
+    terms_.push_back({std::log(std::max(c.weight, 1e-300)),
+                      kLog2Pi + std::log(c.variance)});
   }
   ADVH_CHECK_MSG(std::fabs(total - 1.0) < 1e-6, "weights must sum to 1");
 }
@@ -49,19 +162,25 @@ gmm1d gmm1d::fit(std::span<const double> data, std::size_t k,
   const double data_var = std::max(stats::variance(data), 1e-12);
   const double floor = std::max(cfg.variance_floor_ratio * data_var, 1e-12);
   const auto n = data.size();
+  const std::size_t restarts = std::max<std::size_t>(cfg.restarts, 1);
+
+  em_scratch scratch{std::vector<double>(n * k), std::vector<double>(k),
+                     std::vector<double>(k), std::vector<double>(k)};
+  std::vector<component1d> comps(k);
+  std::vector<std::size_t> counts(k);
+  std::vector<component1d> starts;  // k initial components per EM run
+  starts.reserve(restarts * k);
 
   std::vector<component1d> best;
   double best_ll = -std::numeric_limits<double>::infinity();
 
   rng seed_gen(cfg.seed);
-  for (std::size_t restart = 0; restart < std::max<std::size_t>(cfg.restarts, 1);
-       ++restart) {
+  for (std::size_t restart = 0; restart < restarts; ++restart) {
     rng gen = seed_gen.split();
 
     // Initialise from k-means clusters.
     auto km = kmeans(data, 1, k, gen);
-    std::vector<component1d> comps(k);
-    std::vector<std::size_t> counts(k, 0);
+    counts.assign(k, 0);
     for (std::size_t i = 0; i < n; ++i) ++counts[km.assignment[i]];
     for (std::size_t c = 0; c < k; ++c) {
       comps[c].mean = km.centroids[c][0];
@@ -85,55 +204,27 @@ gmm1d gmm1d::fit(std::span<const double> data, std::size_t k,
       for (auto& c : comps) c.weight /= wsum;
     }
 
-    // EM iterations (Algorithm 1).
-    std::vector<double> resp(n * k);
-    std::vector<double> logp(k);
-    double prev_ll = -std::numeric_limits<double>::infinity();
-    for (std::size_t iter = 0; iter < cfg.max_iter; ++iter) {
-      // E-step: responsibilities gamma_ik.
-      double ll = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < k; ++c) {
-          logp[c] = std::log(comps[c].weight) +
-                    log_normal_pdf(data[i], comps[c].mean, comps[c].variance);
-        }
-        const double lse = log_sum_exp(logp);
-        ll += lse;
-        for (std::size_t c = 0; c < k; ++c) {
-          resp[i * k + c] = std::exp(logp[c] - lse);
-        }
-      }
-
-      // M-step.
-      for (std::size_t c = 0; c < k; ++c) {
-        double nk = 0.0, mu = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          nk += resp[i * k + c];
-          mu += resp[i * k + c] * data[i];
-        }
-        nk = std::max(nk, 1e-10);
-        mu /= nk;
-        double var = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double d = data[i] - mu;
-          var += resp[i * k + c] * d * d;
-        }
-        comps[c].weight = nk / static_cast<double>(n);
-        comps[c].mean = mu;
-        comps[c].variance = std::max(var / nk, floor);
-      }
-
-      if (std::isfinite(prev_ll) &&
-          std::fabs(ll - prev_ll) <=
-              cfg.tolerance * (std::fabs(prev_ll) + 1.0)) {
-        prev_ll = ll;
-        break;
-      }
-      prev_ll = ll;
+    // EM is a pure function of (data, start, cfg) and `best` is replaced
+    // only on a strict improvement, so a start that an earlier restart
+    // already ran cannot change the result: skip it.
+    bool repeat = false;
+    for (std::size_t r = 0; r < starts.size() && !repeat; r += k) {
+      repeat = std::memcmp(starts.data() + r, comps.data(),
+                           k * sizeof(component1d)) == 0;
     }
+    if (repeat) continue;
+    starts.insert(starts.end(), comps.begin(), comps.end());
 
-    if (prev_ll > best_ll) {
-      best_ll = prev_ll;
+    double ll = 0.0;
+    switch (k) {
+      case 1: ll = run_em<1>(data, cfg, floor, comps, scratch); break;
+      case 2: ll = run_em<2>(data, cfg, floor, comps, scratch); break;
+      case 3: ll = run_em<3>(data, cfg, floor, comps, scratch); break;
+      case 4: ll = run_em<4>(data, cfg, floor, comps, scratch); break;
+      default: ll = run_em<0>(data, cfg, floor, comps, scratch); break;
+    }
+    if (ll > best_ll) {
+      best_ll = ll;
       best = comps;
     }
   }
@@ -161,12 +252,11 @@ gmm1d gmm1d::fit_best_bic(std::span<const double> data, std::size_t k_max,
 
 double gmm1d::log_pdf(double x) const {
   ADVH_CHECK_MSG(!components_.empty(), "model not fitted");
-  std::vector<double> logp(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    logp[c] = std::log(std::max(components_[c].weight, 1e-300)) +
-              log_normal_pdf(x, components_[c].mean, components_[c].variance);
-  }
-  return log_sum_exp(logp);
+  // The log-densities are recomputed, not buffered, so no order allocates.
+  return log_sum_exp_of(components_.size(), [&](std::size_t c) {
+    return component_log_pdf(x, terms_[c].log_weight, terms_[c].log_norm,
+                             components_[c].mean, components_[c].variance);
+  });
 }
 
 double gmm1d::total_log_likelihood(std::span<const double> data) const {

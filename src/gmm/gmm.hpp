@@ -16,7 +16,9 @@ namespace advh::gmm {
 struct em_config {
   std::size_t max_iter = 200;
   double tolerance = 1e-7;     ///< relative log-likelihood change
-  std::size_t restarts = 3;    ///< EM restarts, best likelihood kept
+  /// EM restarts, best likelihood kept. A restart whose k-means start is
+  /// bitwise equal to an earlier one's runs once (EM from it is identical).
+  std::size_t restarts = 3;
   double variance_floor_ratio = 1e-4;  ///< floor as fraction of data variance
   std::uint64_t seed = 7;
 };
@@ -62,7 +64,15 @@ class gmm1d {
   double sample(rng& gen) const;
 
  private:
+  /// Per-component logs cached at construction, so that log_pdf takes no
+  /// log and allocates nothing per call.
+  struct log_terms {
+    double log_weight = 0.0;  ///< log(max(weight, 1e-300))
+    double log_norm = 0.0;    ///< log(2 pi) + log(variance)
+  };
+
   std::vector<component1d> components_;
+  std::vector<log_terms> terms_;
 };
 
 /// Diagonal-covariance multivariate mixture (extension detector).

@@ -91,13 +91,10 @@ std::vector<tensor> test_batch(std::size_t n) {
   return out;
 }
 
-/// sim -> fault -> resilient stack over a shared model; `fault_out`
-/// receives a borrowed pointer to the fault layer when non-null.
-monitor_ptr make_stack(nn::model& m, const fault_config& fc,
-                       fault_backend** fault_out = nullptr) {
+/// sim -> fault -> resilient stack over a shared model.
+monitor_ptr make_stack(nn::model& m, const fault_config& fc) {
   auto sim = std::make_unique<sim_backend>(m);
   auto faulty = std::make_unique<fault_backend>(std::move(sim), fc);
-  if (fault_out != nullptr) *fault_out = faulty.get();
   return std::make_unique<resilient_monitor>(std::move(faulty));
 }
 
